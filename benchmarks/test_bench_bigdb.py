@@ -18,8 +18,7 @@ paper-scale reproduction.  Every run records peak RSS (``ru_maxrss``), the
 backend's resident-vs-mapped byte split, and ingest/mine/serve throughput
 into ``extra_info`` (set ``REPRO_BIGDB_TRACEMALLOC=1`` for an additional
 untimed mining pass under ``tracemalloc``) so the numbers land in
-the benchmark-smoke JSON artifact and the committed ``BENCH_<pr>.json``
-snapshots (``tools/bench_diff.py`` diffs the ``peak_bytes`` fields too).
+the benchmark-smoke JSON artifact.
 
 At smoke scale the run additionally asserts byte-identity against a fully
 RAM-backed mine of the same data — the seam must never change results.

@@ -1,20 +1,18 @@
 """Telemetry benchmarks: internal counters in the smoke JSON + overhead bar.
 
 Two jobs.  First, put the *internal* counters next to the wall-clock
-numbers: the perf trajectory (``BENCH_<pr>.json``) so far records only how
-long a mine or a serve call took, which cannot distinguish "the DFS visited
-fewer nodes" from "the same DFS got faster".  The mining and serving
-benchmarks here snapshot the :mod:`repro.obs` registry into
-``extra_info``, so every smoke artifact records DFS nodes visited, LBCheck
-prunes, closure checks, per-op request counts and latency quantiles
-alongside the timings.
+numbers: a timing alone says only how long a mine or a serve call took,
+which cannot distinguish "the DFS visited fewer nodes" from "the same DFS
+got faster".  The mining and serving benchmarks here snapshot the
+:mod:`repro.obs` registry into ``extra_info``, so every smoke artifact
+records DFS nodes visited, LBCheck prunes, closure checks, per-op request
+counts and latency quantiles alongside the timings.
 
 Second, pin the overhead contract: instrumentation threaded through the
 miners must be effectively free when nobody reads it.  The hot path keeps
 plain dataclass counters and mirrors them into the registry once per run,
 so an enabled registry and a disabled one must mine at the same speed; the
-bar is asserted loosely (CI noise) and both timings land in ``extra_info``
-for the trajectory.
+bar is asserted loosely (CI noise) and both timings land in ``extra_info``.
 """
 
 import json

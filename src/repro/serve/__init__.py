@@ -4,43 +4,35 @@ The read-side subsystem (:mod:`repro.match`) made mined patterns loadable
 and matchable; this package keeps them *resident*: a long-running daemon
 that loads pattern stores once (zero-copy over shared mappings where the
 platform allows), compiles each shared automaton once, and answers scoring
-traffic over a newline-delimited JSON protocol — TCP and, on the asyncio
-transport, a unix-domain socket — until told to stop.
+traffic over a newline-delimited JSON protocol — TCP and, optionally, a
+unix-domain socket — until told to stop.
 
 * :mod:`repro.serve.protocol` — the wire format (one JSON object per line)
   and its pure encode/decode helpers, shared by daemon and client.
 * :mod:`repro.serve.core` — :class:`~repro.serve.core.ServeCore`, the
   transport-agnostic request engine: namespace-keyed multi-store routing,
-  generation-keyed response caching, batched dispatch, graceful ``reload``
-  on store republication (compiled-automaton reuse when only supports
-  changed), and the per-request telemetry contract.
-* :mod:`repro.serve.aio` — :class:`PatternServer`, the asyncio event-loop
-  transport (the default): TCP + unix-domain socket listeners,
-  micro-batched ``score``/``match`` dispatch through a thread pool, and
-  the in-loop response-cache fast path.
-* :mod:`repro.serve.daemon` — :class:`ThreadedPatternServer`, the original
-  thread-per-connection :mod:`socketserver` transport over the same core;
-  the equivalence baseline, and an embedded option for loop-free callers.
-* :mod:`repro.serve.client` / :mod:`repro.serve.aioclient` —
-  :class:`ServeClient` and :class:`AsyncServeClient`, the sync and async
-  helpers that speak the protocol from Python (any language with sockets
-  + JSON works).
+  generation-keyed response caching, one shared automaton sweep per batch
+  of ``score``/``match`` requests, graceful ``reload`` on store
+  republication (compiled-automaton reuse when only supports changed), and
+  the per-request telemetry contract.
+* :mod:`repro.serve.aio` — :class:`PatternServer`, the daemon: an asyncio
+  event loop with TCP + unix-domain socket listeners, micro-batched
+  ``score``/``match`` dispatch through a thread pool, and the in-loop
+  response-cache fast path.
+* :mod:`repro.serve.client` — :class:`ServeClient`, the helper that speaks
+  the protocol from Python (any language with sockets + JSON works).
 
 Surfaced as :func:`repro.api.serve` and the ``serve`` CLI subcommand.
 """
 
 from repro.serve.aio import PatternServer, serve
-from repro.serve.aioclient import AsyncServeClient
 from repro.serve.client import ServeClient, ServeError
-from repro.serve.daemon import ThreadedPatternServer
 from repro.serve.protocol import PingInfo
 
 __all__ = [
-    "AsyncServeClient",
     "PatternServer",
     "PingInfo",
     "ServeClient",
     "ServeError",
-    "ThreadedPatternServer",
     "serve",
 ]

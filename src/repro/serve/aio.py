@@ -1,10 +1,9 @@
-"""The asyncio pattern-serving transport (the default ``PatternServer``).
+"""The pattern-serving daemon: an asyncio event loop over ``ServeCore``.
 
 The daemon's brains live in :class:`repro.serve.core.ServeCore`; this
-module is the event-loop shell around them, replacing the
-thread-per-connection transport (:mod:`repro.serve.daemon`) as the facade
-behind ``repro.serve.PatternServer`` while answering every request
-identically — both transports run the same core.
+module is the event-loop shell around them, exported as
+``repro.serve.PatternServer``.  It answers each line exactly as
+:meth:`~repro.serve.core.ServeCore.handle_raw` would in-process.
 
 What the event loop buys:
 
@@ -26,11 +25,12 @@ What the event loop buys:
 
 The division of labour per request: the loop thread runs
 :meth:`~repro.serve.core.ServeCore.begin` (decode) and, for cacheable
-operations, the cache fast path; everything that can take real time —
-auto-reload checks, automaton sweeps, store swaps — runs on the pool via
-:meth:`~repro.serve.core.ServeCore.dispatch` or
-:meth:`~repro.serve.core.ServeCore.process_batch`.  Responses are written
-back in arrival order per connection, exactly like the threaded transport.
+operations, the cache read :meth:`~repro.serve.core.ServeCore.try_cached`;
+everything that can take real time — auto-reload checks, automaton sweeps,
+store swaps — runs on the pool, a flushed batch through
+:meth:`~repro.serve.core.ServeCore.process_batch` and any other request
+through :meth:`~repro.serve.core.ServeCore.dispatch`.  Responses are
+written back in arrival order per connection.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ import threading
 from collections.abc import Callable, Mapping
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Any
 
 from repro.core.constraints import GapConstraint
 from repro.obs import MetricsRegistry
@@ -305,10 +304,9 @@ class PatternServer(ServeCore):
         """One connection's request/response loop until EOF or shutdown.
 
         Responses go back in request order per connection (the loop awaits
-        each response before reading the next frame), matching the
-        threaded transport.  Transport faults — a peer gone mid-write, a
-        frame longer than ``MAX_LINE_BYTES`` — end this connection and
-        nothing else.
+        each response before reading the next frame).  Transport faults — a
+        peer gone mid-write, a frame longer than ``MAX_LINE_BYTES`` — end
+        this connection and nothing else.
         """
         stop_event = self._stop_event
         assert stop_event is not None
@@ -319,28 +317,16 @@ class PatternServer(ServeCore):
                 max_line = MAX_LINE_BYTES
                 try:
                     raw = await reader.readline()
+                    too_long = len(raw) > max_line
                 except ValueError:
                     # The stream limit tripped: an over-long frame.
-                    writer.write(
-                        encode_line(
-                            error_response(
-                                f"request line exceeds {max_line} bytes"
-                            )
-                        )
-                    )
+                    too_long = True
+                if too_long:
+                    message = f"request line exceeds {max_line} bytes"
+                    writer.write(encode_line(error_response(message)))
                     await writer.drain()
                     break
                 if not raw:
-                    break
-                if len(raw) > max_line:
-                    writer.write(
-                        encode_line(
-                            error_response(
-                                f"request line exceeds {max_line} bytes"
-                            )
-                        )
-                    )
-                    await writer.drain()
                     break
                 raw = raw.strip()
                 if not raw:
@@ -369,7 +355,7 @@ class PatternServer(ServeCore):
                 pass
 
     async def _handle_line(self, raw: bytes) -> tuple[bytes, bool]:
-        """Route one frame: cache fast path, batch queue, or pool dispatch."""
+        """Route one frame: cache hit, batch queue, or pool dispatch."""
         loop = self._loop
         executor = self._executor
         assert loop is not None and executor is not None
@@ -388,7 +374,7 @@ class PatternServer(ServeCore):
         return await loop.run_in_executor(executor, self._handle_ticket, ticket)
 
     def _handle_ticket(self, ticket: RequestTicket) -> tuple[bytes, bool]:
-        """Pool-side single dispatch: the core's dispatch + finish."""
+        """Pool-side lone dispatch: the core's dispatch + finish."""
         response = self.dispatch(ticket)
         return self.finish(ticket, response), ticket.stop
 

@@ -34,7 +34,7 @@ class ServeError(RuntimeError):
 
 
 class ServeClient:
-    """A persistent connection to a :class:`~repro.serve.daemon.PatternServer`.
+    """A persistent connection to a :class:`~repro.serve.aio.PatternServer`.
 
     Parameters
     ----------
@@ -42,8 +42,8 @@ class ServeClient:
         The daemon's TCP address (``PatternServer.address``).
     uds:
         A unix-domain socket path; when given, the client connects there
-        instead of TCP (``PatternServer.uds_path`` on an asyncio daemon
-        serving one).
+        instead of TCP (``PatternServer.uds_path`` on a daemon serving
+        one).
     ns:
         A namespace name stamped onto every request (as the ``ns`` field)
         so this client scores against that store slot; ``None`` (default)

@@ -1,14 +1,13 @@
-"""Transport-agnostic request engine shared by every serving daemon.
+"""The serving daemon's request engine, independent of any transport.
 
 :class:`ServeCore` is the part of the pattern-serving daemon that does not
 care how bytes arrive: it owns the loaded stores, routes requests to
 operations, records telemetry, and turns every request line into exactly
-one response line.  Both transports are thin shells over it — the
-:class:`~repro.serve.daemon.ThreadedPatternServer` socketserver loop and
-the asyncio :class:`~repro.serve.aio.PatternServer` event loop — so the
-wire behaviour of the two daemons is identical by construction.
+one response line.  The asyncio :class:`~repro.serve.aio.PatternServer` is
+a thin event-loop shell over it, and :meth:`ServeCore.handle_raw` drives it
+in-process, so the daemon's wire behaviour is the core's.
 
-Three serving features live here because every transport needs them:
+Three serving features live here:
 
 * **Namespaces** — one daemon, many mmap'd stores.  Each namespace is an
   independently reloadable ``(store, matcher)`` pair keyed by name; a
@@ -32,10 +31,12 @@ them with their own scheduling: :meth:`ServeCore.begin` decodes and stamps
 a :class:`RequestTicket`, :meth:`ServeCore.dispatch` computes the response
 dict (safe to run on any worker thread), and :meth:`ServeCore.finish`
 encodes the response line and records the request's telemetry.
-:meth:`ServeCore.handle_raw` runs the three in sequence — the whole story
-for one request — while :meth:`ServeCore.process_batch` dispatches a batch
-of tickets with one shared automaton sweep amortised across every
-``score`` / ``match`` request in it.
+:meth:`ServeCore.handle_raw` runs the three in sequence for one request;
+:meth:`ServeCore.process_batch` dispatches a flushed batch of ``score`` /
+``match`` tickets.  Both answer through one route: the tickets of one
+namespace read the response cache (:meth:`ServeCore._cache_read`), the
+misses share one automaton sweep (:meth:`ServeCore._sweep`), and each
+computed success fills the cache (:meth:`ServeCore._cache_fill`).
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from typing import Any
 from repro.core.constraints import GapConstraint
 from repro.db.database import SequenceDatabase
 from repro.db.sequence import as_sequence
-from repro.match.service import PatternMatcher, score_from_match
+from repro.match.service import PatternMatcher, SequenceScore, score_from_match
 from repro.match.store import PatternStore, load_patterns
 from repro.obs import (
     Counter,
@@ -73,7 +74,6 @@ from repro.serve.protocol import (
     decode_line,
     encode_line,
     error_response,
-    match_result_to_wire,
     match_slice_to_wire,
     ok_response,
     ranked_to_wire,
@@ -90,8 +90,11 @@ DEFAULT_NAMESPACE = "default"
 #: request parameters) — the only ones the response cache may hold.
 CACHEABLE_OPERATIONS = frozenset({"score", "match", "rank", "top_k"})
 
-#: Operations the batched dispatch path may fold into one shared sweep.
+#: Operations answered by the shared automaton sweep (and so batchable).
 BATCHABLE_OPERATIONS = frozenset({"score", "match"})
+
+#: A response-cache key: ``(namespace, generation, operation, canonical request)``.
+CacheKey = tuple[str, int, str, str]
 
 #: Histogram bounds for the per-flush batch-size distribution (requests
 #: per batch, not seconds).
@@ -122,15 +125,13 @@ class ResponseCache:
             raise ValueError(f"cache maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
         self._lock = threading.Lock()
-        self._entries: OrderedDict[tuple[str, int, str, str], dict[str, Any]] = (
-            OrderedDict()
-        )
+        self._entries: OrderedDict[CacheKey, dict[str, Any]] = OrderedDict()
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
 
-    def get(self, key: tuple[str, int, str, str]) -> dict[str, Any] | None:
+    def get(self, key: CacheKey) -> dict[str, Any] | None:
         """The cached payload for ``key`` (refreshed as most recent), or ``None``."""
         with self._lock:
             value = self._entries.get(key)
@@ -139,7 +140,7 @@ class ResponseCache:
             self._entries.move_to_end(key)
             return dict(value)
 
-    def put(self, key: tuple[str, int, str, str], value: dict[str, Any]) -> int:
+    def put(self, key: CacheKey, value: dict[str, Any]) -> int:
         """Store a copy of ``value`` under ``key``; returns evictions made."""
         evicted = 0
         with self._lock:
@@ -210,6 +211,8 @@ class RequestTicket:
     closed out by :meth:`ServeCore.finish`.  The trace context is *created*
     at begin time (so the response can echo it) but only made ambient
     around the dispatch, where the work it should parent actually runs.
+    ``cache_key`` is the response-cache key of the latest cache read, which
+    the fill after a miss reuses.
     """
 
     __slots__ = (
@@ -224,6 +227,7 @@ class RequestTicket:
         "context",
         "response",
         "stop",
+        "cache_key",
     )
 
     def __init__(self, raw: bytes) -> None:
@@ -238,10 +242,11 @@ class RequestTicket:
         self.context: TraceContext | None = None
         self.response: dict[str, Any] | None = None
         self.stop = False
+        self.cache_key: CacheKey | None = None
 
     @property
     def batchable(self) -> bool:
-        """Whether the batched dispatch path may fold this request into a sweep."""
+        """Whether the shared automaton sweep answers this request."""
         return self.response is None and self.op_name in BATCHABLE_OPERATIONS
 
 
@@ -564,10 +569,10 @@ class ServeCore:
     def dispatch(self, ticket: RequestTicket) -> dict[str, Any]:
         """Compute one ticket's response dict; never raises.
 
-        Runs on whatever thread the transport chose (a handler thread, an
-        executor worker).  The ticket's trace context is ambient for the
-        duration, so matcher spans nest beneath the operation span that
-        :meth:`finish` records.
+        Runs on whatever thread the caller chose (the daemon's executor
+        workers, or the caller's own thread via :meth:`handle_raw`).  The
+        ticket's trace context is ambient for the duration, so matcher
+        spans nest beneath the operation span that :meth:`finish` records.
         """
         if ticket.response is not None:
             return ticket.response
@@ -577,8 +582,7 @@ class ServeCore:
         try:
             namespace = self._namespace(request.get("ns"))
             ticket.ns_label = namespace.name
-            self._maybe_auto_reload(namespace)
-            response = self._handle_op(ticket.op, request, namespace)
+            [response] = self._answer(namespace, [ticket])
             ticket.stop = ticket.op == "shutdown"
         except ProtocolError as exc:
             response = error_response(str(exc))
@@ -590,37 +594,22 @@ class ServeCore:
         return response
 
     def try_cached(self, ticket: RequestTicket) -> dict[str, Any] | None:
-        """A cache-only dispatch attempt, cheap enough for an event loop.
+        """A cache-only answer, cheap enough for an event loop; ``None`` on a miss.
 
-        Returns the cached response copy when the ticket is a cacheable
-        operation whose key is present under the namespace's *current*
-        generation, ``None`` otherwise (including when auto-reload is on:
-        then every request must run the reload check first, which belongs
-        on a worker thread, not the loop).
+        Skipped under auto-reload, whose freshness check belongs on a
+        worker thread.  A miss is not counted here: the dispatch that
+        follows reads the cache again and counts the hit or miss there.
         """
-        if (
-            self._cache is None
-            or self._auto_reload
-            or ticket.response is not None
-            or ticket.op_name not in CACHEABLE_OPERATIONS
-        ):
+        if self._auto_reload or ticket.response is not None:
             return None
-        request = ticket.request
-        assert request is not None
-        ns_value = request.get("ns")
-        if ns_value is not None and not isinstance(ns_value, str):
+        assert ticket.request is not None
+        try:
+            namespace = self._namespace(ticket.request.get("ns"))
+        except ProtocolError:
             return None
-        namespace = self._namespaces.get(ns_value if ns_value is not None else DEFAULT_NAMESPACE)
-        if namespace is None:
-            return None
-        state = namespace.state
-        key = (namespace.name, state.generation, ticket.op_name, canonical_request(request))
-        cached = self._cache.get(key)
-        if cached is None:
-            return None
-        ticket.ns_label = namespace.name
-        self._cache_hits.inc()
-        ticket.stop = False
+        cached = self._cache_read(ticket, namespace, namespace.state, count_miss=False)
+        if cached is not None:
+            ticket.ns_label = namespace.name
         return cached
 
     def finish(self, ticket: RequestTicket, response: dict[str, Any]) -> bytes:
@@ -693,179 +682,182 @@ class ServeCore:
         Never raises: protocol violations and handler errors come back as
         ``{"ok": false, "error": ...}`` responses so one bad request cannot
         take the daemon down.  This is begin → dispatch → finish in
-        sequence — what both transports run for non-batched requests, and
-        what embedding callers (tests, tools) use directly.
+        sequence — what the daemon runs for a request it does not batch,
+        and what embedding callers (tests, tools) use directly.
         """
         ticket = self.begin(raw)
         response = self.dispatch(ticket)
         return self.finish(ticket, response), ticket.stop
 
     # ------------------------------------------------------------------
-    # Batched dispatch
+    # Batched dispatch, and the route every request shares
     # ------------------------------------------------------------------
     def process_batch(
         self, tickets: PySequence[RequestTicket]
     ) -> list[tuple[bytes, bool]]:
-        """Dispatch a batch of tickets, amortising one sweep across it.
+        """Dispatch a flushed batch of tickets, one sweep per namespace.
 
-        ``score`` and ``match`` tickets that share a namespace are answered
-        from **one** automaton pass over their concatenated query
-        sequences: per-sequence supports are independent (instances never
-        span sequences), so slicing the combined
-        :class:`~repro.match.automaton.MatchResult` back per request is
-        byte-identical to dispatching each request alone.  Anything else in
-        the batch — other operations, malformed tickets, unknown
-        namespaces — falls through to the ordinary single dispatch.  The
-        response cache is consulted per ticket first and filled from the
-        shared sweep after.
+        The ``score`` and ``match`` tickets that share a namespace are
+        answered together (:meth:`_answer`): one automaton pass over the
+        concatenated query sequences of their cache misses.  Anything else
+        in the batch — other operations, malformed tickets — takes the
+        ordinary :meth:`dispatch`, and an unusable ``ns`` answers its own
+        ticket with an error.  Records the batch's size in
+        ``serve.batch.size``.
 
         Returns ``(response line, stop?)`` per ticket, in ticket order.
         Designed to run on a worker thread; auto-reload runs once per
         namespace per batch, before the namespace's state snapshot.
         """
-        if len(tickets) == 1:
-            # A batch of one gains nothing from the combined-sweep path;
-            # plain dispatch keeps its trace tree (op span → match span)
-            # identical to the unbatched transports'.
-            ticket = tickets[0]
-            response = self.dispatch(ticket)
-            if self.obs.enabled:
-                self._batch_sizes.observe(1.0)
-            return [(self.finish(ticket, response), ticket.stop)]
-        responses: list[dict[str, Any] | None] = [None] * len(tickets)
-        groups: dict[Any, list[int]] = {}
+        responses: dict[int, dict[str, Any]] = {}
+        groups: dict[str, list[int]] = {}
         for index, ticket in enumerate(tickets):
             if not ticket.batchable:
                 responses[index] = self.dispatch(ticket)
                 continue
-            request = ticket.request
-            assert request is not None
-            groups.setdefault(request.get("ns"), []).append(index)
-        for ns_value, indexes in groups.items():
-            self._dispatch_batch_group(tickets, indexes, ns_value, responses)
-        if self.obs.enabled:
-            self._batch_sizes.observe(float(len(tickets)))
-        results: list[tuple[bytes, bool]] = []
-        for ticket, response in zip(tickets, responses):
-            assert response is not None
-            results.append((self.finish(ticket, response), ticket.stop))
-        return results
-
-    def _dispatch_batch_group(
-        self,
-        tickets: PySequence[RequestTicket],
-        indexes: list[int],
-        ns_value: Any,
-        responses: list[dict[str, Any] | None],
-    ) -> None:
-        """Answer one namespace's batchable tickets (cache, then one sweep)."""
-        try:
-            namespace = self._namespace(ns_value)
-        except ProtocolError as exc:
-            for index in indexes:
-                responses[index] = error_response(str(exc))
-            return
-        for index in indexes:
-            tickets[index].ns_label = namespace.name
-        self._maybe_auto_reload(namespace)
-        state = namespace.state
-        cache = self._cache
-        misses: list[int] = []
-        keys: dict[int, tuple[str, int, str, str]] = {}
-        for index in indexes:
-            ticket = tickets[index]
-            request = ticket.request
-            assert request is not None
-            if cache is not None:
-                key = (
-                    namespace.name,
-                    state.generation,
-                    ticket.op_name,
-                    canonical_request(request),
-                )
-                keys[index] = key
-                cached = cache.get(key)
-                if cached is not None:
-                    self._cache_hits.inc()
-                    responses[index] = cached
-                    continue
-                self._cache_misses.inc()
-            misses.append(index)
-        if not misses:
-            return
-        # Build each miss's query database; a malformed request drops out
-        # of the sweep with its own error response.
-        databases: dict[int, SequenceDatabase] = {}
-        for index in misses:
-            ticket = tickets[index]
             assert ticket.request is not None
             try:
-                databases[index] = _query_database(ticket.request)
+                namespace = self._namespace(ticket.request.get("ns"))
             except ProtocolError as exc:
                 responses[index] = error_response(str(exc))
-            except Exception as exc:  # noqa: BLE001 - one bad request must not kill the batch
-                responses[index] = error_response(f"{type(exc).__name__}: {exc}")
-        swept = [index for index in misses if index in databases]
-        if not swept:
-            return
-        combined = SequenceDatabase(
-            [sequence for index in swept for sequence in databases[index]]
+                continue
+            ticket.ns_label = namespace.name
+            groups.setdefault(namespace.name, []).append(index)
+        for name, indexes in groups.items():
+            answers = self._answer(self._namespaces[name], [tickets[i] for i in indexes])
+            responses.update(zip(indexes, answers, strict=True))
+        if self.obs.enabled:
+            self._batch_sizes.observe(float(len(tickets)))
+        return [
+            (self.finish(ticket, responses[index]), ticket.stop)
+            for index, ticket in enumerate(tickets)
+        ]
+
+    def _answer(
+        self, namespace: _Namespace, tickets: list[RequestTicket]
+    ) -> list[dict[str, Any]]:
+        """Answer tickets routed to ``namespace`` against one state snapshot.
+
+        Runs the namespace's auto-reload check once, then answers each
+        ticket from the response cache or computes it — the ``score`` /
+        ``match`` misses in one shared :meth:`_sweep`, any other operation
+        alone — and fills the cache with every computed success.
+        """
+        self._maybe_auto_reload(namespace)
+        state = namespace.state
+        cached = [self._cache_read(ticket, namespace, state) for ticket in tickets]
+        swept = [
+            ticket
+            for ticket, hit in zip(tickets, cached, strict=True)
+            if hit is None and ticket.batchable
+        ]
+        computed = iter(self._sweep(state, swept))
+        answers: list[dict[str, Any]] = []
+        for ticket, answer in zip(tickets, cached, strict=True):
+            if answer is None:
+                if ticket.batchable:
+                    answer = next(computed)
+                else:
+                    assert ticket.request is not None
+                    answer = self._op_response(ticket.op, ticket.request, namespace, state)
+                self._cache_fill(ticket, answer)
+            answers.append(answer)
+        return answers
+
+    def _cache_read(
+        self,
+        ticket: RequestTicket,
+        namespace: _Namespace,
+        state: _ServingState,
+        *,
+        count_miss: bool = True,
+    ) -> dict[str, Any] | None:
+        """Key ``ticket`` under ``state``'s generation and read the response cache.
+
+        Returns a copy of the cached response, or ``None`` on a miss and for
+        uncacheable tickets.  The key stays on the ticket for
+        :meth:`_cache_fill`.  Hits are counted wherever the read runs; the
+        event loop's read passes ``count_miss=False``, leaving the miss to
+        the worker's read, so each cacheable request counts once.
+        """
+        cache = self._cache
+        if cache is None or ticket.op_name not in CACHEABLE_OPERATIONS:
+            ticket.cache_key = None
+            return None
+        assert ticket.request is not None
+        key = ticket.cache_key = (
+            namespace.name,
+            state.generation,
+            ticket.op_name,
+            canonical_request(ticket.request),
         )
-        first = tickets[swept[0]]
+        cached = cache.get(key)
+        if cached is not None:
+            self._cache_hits.inc()
+        elif count_miss:
+            self._cache_misses.inc()
+        return cached
+
+    def _cache_fill(self, ticket: RequestTicket, response: dict[str, Any]) -> None:
+        """Cache a computed success under the key of the ticket's cache read."""
+        key = ticket.cache_key
+        if key is None or self._cache is None or not response.get("ok"):
+            return
+        evicted = self._cache.put(key, response)
+        if evicted:
+            self._cache_evictions.inc(evicted)
+
+    def _sweep(
+        self, state: _ServingState, tickets: list[RequestTicket]
+    ) -> list[dict[str, Any]]:
+        """Answer ``score`` / ``match`` tickets from one automaton pass.
+
+        Per-sequence supports are independent (instances never span
+        sequences), so slicing the pass over the tickets' concatenated
+        query sequences back per ticket is byte-identical to matching each
+        ticket alone.  A ticket with malformed ``sequences`` gets its own
+        error and drops out of the pass, which runs under the first swept
+        ticket's trace context.  The pass's
+        :class:`~repro.match.automaton.MatchResult` is released before the
+        score wire lists are built, so it is never alive next to them.
+        """
+        answers: dict[int, dict[str, Any]] = {}
+        databases: list[tuple[int, SequenceDatabase]] = []
+        for index, ticket in enumerate(tickets):
+            assert ticket.request is not None
+            try:
+                databases.append((index, _query_database(ticket.request)))
+            except ProtocolError as exc:
+                answers[index] = error_response(str(exc))
+            except Exception as exc:  # noqa: BLE001 - one bad request must not fail the rest
+                answers[index] = error_response(f"{type(exc).__name__}: {exc}")
+        if not databases:
+            return [answers[index] for index in range(len(tickets))]
+        query = SequenceDatabase([seq for _, database in databases for seq in database])
+        first = tickets[databases[0][0]]
         token = set_context(first.context) if first.context is not None else None
         try:
-            with self.obs.span("serve.batch.sweep.seconds", size=len(swept)):
-                result = state.matcher.match(combined)
+            result = state.matcher.match(query)
         except Exception as exc:  # noqa: BLE001 - the daemon must keep serving
-            for index in swept:
-                responses[index] = error_response(f"{type(exc).__name__}: {exc}")
-            return
+            for index, _ in databases:
+                answers[index] = error_response(f"{type(exc).__name__}: {exc}")
+            return [answers[index] for index in range(len(tickets))]
         finally:
             if token is not None:
                 reset_context(token)
+        scores: dict[int, list[SequenceScore]] = {}
         offset = 0
-        for index in swept:
-            ticket = tickets[index]
-            count = len(databases[index])
-            if ticket.op_name == "score":
-                payload = ok_response(
-                    scores=[
-                        score_to_wire(score_from_match(result, offset + i))
-                        for i in range(1, count + 1)
-                    ]
-                )
+        for index, database in databases:
+            count = len(database)
+            if tickets[index].op_name == "score":
+                scores[index] = [score_from_match(result, offset + i) for i in range(1, count + 1)]
             else:
-                payload = ok_response(**match_slice_to_wire(result, offset, count))
-            responses[index] = payload
-            if cache is not None:
-                evicted = cache.put(keys[index], payload)
-                if evicted:
-                    self._cache_evictions.inc(evicted)
+                answers[index] = ok_response(**match_slice_to_wire(result, offset, count))
             offset += count
-
-    # ------------------------------------------------------------------
-    # Operations
-    # ------------------------------------------------------------------
-    def _handle_op(
-        self, op: Any, request: dict[str, Any], namespace: _Namespace
-    ) -> dict[str, Any]:
-        """Route one decoded request to its operation, through the cache."""
-        state = namespace.state
-        cache = self._cache
-        if cache is not None and isinstance(op, str) and op in CACHEABLE_OPERATIONS:
-            key = (namespace.name, state.generation, op, canonical_request(request))
-            cached = cache.get(key)
-            if cached is not None:
-                self._cache_hits.inc()
-                return cached
-            self._cache_misses.inc()
-            response = self._op_response(op, request, namespace, state)
-            if response.get("ok"):
-                evicted = cache.put(key, response)
-                if evicted:
-                    self._cache_evictions.inc(evicted)
-            return response
-        return self._op_response(op, request, namespace, state)
+        del result
+        for index, sequence_scores in scores.items():
+            answers[index] = ok_response(scores=[score_to_wire(s) for s in sequence_scores])
+        return [answers[index] for index in range(len(tickets))]
 
     def _op_response(
         self,
@@ -890,12 +882,6 @@ class ServeCore:
                 requests_served=self.requests_served,
                 pid=os.getpid(),
             )
-        if op == "match":
-            result = state.matcher.match(_query_database(request))
-            return ok_response(**match_result_to_wire(result))
-        if op == "score":
-            scores = state.matcher.score_many(list(_query_database(request)))
-            return ok_response(scores=[score_to_wire(s) for s in scores])
         if op == "rank":
             ranked = state.matcher.rank_sequences(
                 list(_query_database(request)),

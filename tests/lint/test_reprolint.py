@@ -67,7 +67,7 @@ def test_rl002_set_iteration_violations(bad_findings):
 
 
 def test_rl003_unguarded_write_violations(bad_findings):
-    hits = _rules_for(bad_findings, "repro/serve/daemon.py")
+    hits = _rules_for(bad_findings, "repro/serve/core.py")
     assert all(rule == "RL003" for rule, _ in hits)
     assert [line for _, line in hits] == [20, 23]
 

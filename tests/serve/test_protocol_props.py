@@ -5,7 +5,8 @@ to raw byte garbage and asserts the protocol's three load-bearing
 invariants hold for *every* input:
 
 * one line in, exactly one well-formed JSON-object line out — never zero,
-  never two, never a raised exception;
+  never two, never a raised exception — alone or inside a batch
+  (``process_batch``);
 * a request ``id`` comes back verbatim on the response, success or error;
 * responses are deterministic and canonically encoded (RL002): compact
   separators, preserved key order, byte-identical across independent
@@ -92,6 +93,24 @@ raw_lines = st.one_of(
     st.text(max_size=200).filter(lambda t: "\n" not in t).map(str.encode),
 )
 
+# Mostly batchable requests, each with an ``ns`` that is any JSON value —
+# including the lists and objects that cannot name a namespace.
+batch_requests = st.fixed_dictionaries(
+    {
+        "op": st.one_of(
+            st.just("score"),
+            st.just("match"),
+            st.sampled_from(["rank", "top_k", "ping", "bogus"]),
+        ),
+        "ns": st.one_of(
+            st.lists(json_scalars, max_size=2),
+            st.dictionaries(st.text(max_size=3), json_scalars, max_size=2),
+            st.sampled_from([None, "default", "nope", 7, True]),
+        ),
+    },
+    optional={"sequences": sequences, "k": json_scalars},
+)
+
 
 def well_formed(response: bytes) -> dict:
     """Assert the single-line framing invariant; return the parsed payload."""
@@ -143,6 +162,23 @@ class TestIdEcho:
         request.pop("id", None)
         response, _ = core.handle_raw(encode_line(request))
         assert "id" not in well_formed(response)
+
+
+class TestBatchFraming:
+    @SETTINGS
+    @given(
+        batch=st.lists(batch_requests, min_size=2, max_size=8),
+        garbage=st.lists(raw_lines, max_size=2),
+    )
+    def test_every_ticket_yields_one_line_with_its_id(self, core, batch, garbage):
+        lines = [encode_line({**request, "id": i}) for i, request in enumerate(batch)]
+        lines += garbage
+        results = core.process_batch([core.begin(line) for line in lines])
+        assert len(results) == len(lines)
+        for index, (response, _) in enumerate(results):
+            payload = well_formed(response)
+            if index < len(batch):
+                assert payload["id"] == index
 
 
 class TestDeterminism:

@@ -1,7 +1,7 @@
-"""RL003 — lock discipline for the serving daemon and the stream miner.
+"""RL003 — lock discipline for the serving core and the stream miner.
 
-``PatternServer`` and ``StreamMiner`` are mutated from request-handler /
-caller threads; their shared attributes are published via ``self._lock``.
+``ServeCore`` and ``StreamMiner`` are mutated from worker / caller
+threads; their shared attributes are published via ``self._lock``.
 The failure mode is subtle: one forgotten ``with self._lock:`` around a
 single write produces torn reads that only surface under concurrency.
 
@@ -104,7 +104,7 @@ class LockDiscipline(Rule):
     rule_id = "RL003"
     summary = "attributes written under self._lock must always be written under it"
     targets = (
-        "repro/serve/daemon.py",
+        "repro/serve/core.py",
         "repro/stream/miner.py",
     )
 
