@@ -107,10 +107,6 @@ class CloGSgrow(GSgrow):
             # and the probe sets anchored at it are never read again.
             checker.leave(len(prefix_sets))
 
-    def _child_events(self, events: list[Event], frequent: list[Event]) -> list[Event]:
-        # CCheck needs the support of every append, frequent or not.
-        return events
-
     def _grow_child(self, index, support_set: SupportSetLike, event: Event) -> SupportSetLike:
         # `_decide` grew every child of this node, the deepest on the path.
         assert self._checker is not None, "mine() must be called before the DFS hooks"
@@ -161,16 +157,26 @@ class CloGSgrow(GSgrow):
             return node.decision
         depth = len(support_set.pattern)
         self.stats.closure_checks += 1
+        # Let P = Q ∘ x.  An append P ∘ e can witness non-closedness only if
+        # sup(P ∘ e) = sup(P) >= min_sup (Theorem 4).  P ∘ e contains Q ∘ e,
+        # whose support is no smaller (Theorem 1), so Q ∘ e is frequent and
+        # e is one of `events`, P's frequent siblings.  A gap constraint
+        # breaks Theorem 1, and an `events` option leaves frequent events out
+        # of the roots' list, so neither run passes the bound.
+        bounded = self.config.constraint is None and self.config.events is None
+        append_bound = events if bounded else None
         if self.config.max_length is not None and depth >= self.config.max_length:
             # The DFS will not enter this subtree, so only closedness is
             # needed (closedness is always evaluated against the *full*
             # pattern universe — extensions longer than the cap included —
             # which is what keeps LBCheck's Theorem-5 pruning sound under a
             # cap).  Appends are left to the checker's lazy early-exit loop.
-            decision = checker.check(support_set, prefix_sets, need_pruning=False)
+            decision = checker.check(
+                support_set, prefix_sets, append_bound=append_bound, need_pruning=False
+            )
         else:
-            # Grow every append child once: CCheck needs their supports and
-            # the DFS growth step (`_grow_child`) takes the sets themselves.
+            # Grow each child once: the DFS growth step (`_grow_child`) takes
+            # the sets and CCheck their supports.
             append_supports: dict[Event, int] = {}
             for event in events:
                 self.stats.dfs_grow_calls += 1
@@ -179,7 +185,12 @@ class CloGSgrow(GSgrow):
                 )
                 node.sets[node.key(depth, event)] = grown
                 append_supports[event] = grown.support
-            decision = checker.check(support_set, prefix_sets, append_supports=append_supports)
+            decision = checker.check(
+                support_set,
+                prefix_sets,
+                append_supports=append_supports,
+                append_bound=append_bound,
+            )
         self.stats.extension_evaluations += decision.extensions_evaluated
         node.decision = decision
         return decision

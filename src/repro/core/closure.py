@@ -24,6 +24,16 @@ least ``sup(P)``: any extension containing a rarer event has strictly smaller
 support (Apriori), so the restriction never misses an equal-support
 extension.  This keeps the check exact.
 
+The miner can narrow the candidates further with an *append bound*.  Let
+``P = Q ∘ em``.  Without a gap constraint the DFS knows which events ``e``
+make ``Q ∘ e`` frequent (``P``'s frequent siblings); for every other ``e``,
+both the append ``P ∘ e`` and the last-gap insertion ``e1..e(m-1) e em``
+contain ``Q ∘ e``, so their support is below ``min_sup <= sup(P)`` (Theorem
+1) and neither can witness non-closedness (Theorem 4).  :meth:`check` takes
+that event set as ``append_bound`` and probes neither extension for events
+outside it.  A gap constraint breaks the monotonicity, so constrained miners
+pass no bound.
+
 The checker is engine-agnostic: every probe it runs (append growth, the
 insert/prepend ``supComp`` restarts, the Theorem-5 border comparison) reads
 only supports and ``border_arrays()``, so it operates on whichever
@@ -41,7 +51,9 @@ while it can still be read:
   :class:`PathNode` per prefix of the pattern last checked, and a probe
   resumes from the deepest intermediate already there.  The DFS parks a
   node's grown append children on the same node, and an append child
-  ``e1..eg e'`` is exactly a probe's first intermediate.
+  ``e1..eg e'`` is exactly a probe's first intermediate;
+* the supports of 2-event patterns, which the insertion probes use as an
+  Apriori filter, sit in one table per checker, read a row per gap.
 
 A leftmost support set depends only on its pattern (and the checker's index
 and constraint), so these pattern-keyed memos cannot change a decision; the
@@ -50,6 +62,7 @@ path scope only bounds their memory.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 
 from repro.core.constraints import GapConstraint
@@ -102,7 +115,8 @@ class PathNode:
     sets:
         :meth:`key` ``(gap, e')`` → leftmost support set of
         ``e1..e_gap e' e(gap+1)..ej``.  With ``gap == j`` that is the append
-        child ``e1..ej e'`` (grown by the DFS or by an append probe); with
+        child ``e1..ej e'`` (grown by the DFS or by an append probe, only
+        for events inside the append bound when there is one); with
         ``gap < j`` it is an intermediate of an insertion (``gap >= 1``) or
         prepend (``gap == 0``) probe into a longer pattern below this node.
     decision:
@@ -172,14 +186,21 @@ class ClosureChecker:
         self.enable_lbcheck = enable_lbcheck
         self.constraint = constraint
         self.engine = engine
-        self._event_totals: dict[Event, int] = {
-            event: index.total_count(event) for event in index.alphabet()
-        }
-        # Lazily memoised supports of 2-event patterns, used as an Apriori
+        # (event, total occurrence count), sorted by the event's repr once.
+        self._event_totals: list[tuple[Event, int]] = sorted(
+            ((event, index.total_count(event)) for event in index.alphabet()),
+            key=lambda item: repr(item[0]),
+        )
+        # Lazily filled supports of 2-event patterns, used as an Apriori
         # filter: any extension containing the 2-gram (a, b) has support at
         # most sup(ab), so candidates whose neighbouring 2-grams are already
         # below the target support can be skipped without growing them.
-        self._pair_support: dict[tuple[Event, Event], int] = {}
+        # Each support is stored twice, `_pairs_ending[b][a]` and
+        # `_pairs_starting[a][b]`, so a probe loop over the inserted event
+        # reads one row per gap.  Supports are representation-independent,
+        # so the table is shared even if callers alternate engines.
+        self._pairs_ending: dict[Event, dict[Event, int]] = {}
+        self._pairs_starting: dict[Event, dict[Event, int]] = {}
         # Size-1 sets, keyed (engine, event): the representations differ.
         self._initial_sets: dict[tuple[SupportEngine, Event], SupportSetLike] = {}
         self.path: list[PathNode] = []
@@ -196,6 +217,7 @@ class ClosureChecker:
         prefix_sets: list[SupportSetLike],
         append_supports: dict[Event, int] | None = None,
         *,
+        append_bound: Collection[Event] | None = None,
         need_pruning: bool = True,
     ) -> ClosureDecision:
         """Run closure checking and landmark border checking for one pattern.
@@ -212,6 +234,15 @@ class ClosureChecker:
             Supports of the append extensions ``P ∘ e`` if the caller already
             computed them (CloGSgrow computes them anyway while growing the
             DFS); missing entries are computed on demand.
+        append_bound:
+            Events ``e`` for which ``Q ∘ e`` may be frequent, where ``P = Q ∘
+            em`` (for a size-1 ``P``, ``Q`` is empty).  The caller promises
+            that for every event outside it ``Q ∘ e`` has support below
+            ``min_sup``, so the append ``P ∘ e`` and the last-gap insertion
+            ``e1..e(m-1) e em``, which both contain ``Q ∘ e``, cannot have
+            ``P``'s support; neither is probed.  ``None`` (the default, and
+            the only sound value under a gap constraint) probes every
+            candidate.
         need_pruning:
             ``False`` lets the caller skip the landmark border scan even when
             LBCheck is enabled — used at nodes whose subtree the DFS will not
@@ -223,6 +254,10 @@ class ClosureChecker:
         engine = self._engine_for(support_set)
         node = self.enter(support_set)
         candidates = self._candidate_events(support)
+        in_bound = candidates
+        if append_bound is not None:
+            bound = set(append_bound)
+            in_bound = [event for event in candidates if event in bound]
         decision = ClosureDecision(closed=True, prunable=False)
         lbcheck = self.enable_lbcheck and need_pruning
 
@@ -232,10 +267,10 @@ class ClosureChecker:
         m = len(pattern)
         if m == 1:
             # The appends of a size-1 pattern are 2-event patterns: their
-            # supports seed the 2-gram filter's memo.
+            # supports seed the 2-gram table.
             for event, appended_support in append_supports.items():
-                self._pair_support.setdefault((pattern.at(1), event), appended_support)
-        for event in candidates:
+                self._record_pair(pattern.at(1), event, appended_support)
+        for event in in_bound:
             if event in append_supports:
                 appended_support = append_supports[event]
             else:
@@ -258,19 +293,32 @@ class ClosureChecker:
             return decision
 
         border = support_set.border_arrays()
+        pair_filter = self.constraint is None
         for gap in range(m):  # gap g inserts between e_g and e_{g+1} (0 = prepend)
             before = pattern.at(gap) if gap >= 1 else None
             after = pattern.at(gap + 1)
-            for event in candidates:
+            if pair_filter:
+                ending_at_after = self._pairs_ending.setdefault(after, {})
+                if before is not None:
+                    starting_at_before = self._pairs_starting.setdefault(before, {})
+            # The last gap's insertions contain `Q ∘ e'`: only the bound's events.
+            for event in in_bound if gap == m - 1 else candidates:
                 # Apriori 2-gram filter: the extension contains the 2-grams
                 # (e_gap, e') and (e', e_{gap+1}); if either has support below
                 # the target, the extension cannot reach it.  (Skipped under a
                 # gap constraint, where support is not monotone in sub-patterns.)
-                if self.constraint is None:
-                    if self._pair_support_of(engine, event, after) < support:
+                if pair_filter:
+                    pair = ending_at_after.get(event)
+                    if pair is None:
+                        pair = self._pair_support(engine, event, after)
+                    if pair < support:
                         continue
-                    if before is not None and self._pair_support_of(engine, before, event) < support:
-                        continue
+                    if before is not None:
+                        pair = starting_at_before.get(event)
+                        if pair is None:
+                            pair = self._pair_support(engine, before, event)
+                        if pair < support:
+                            continue
                 decision.extensions_evaluated += 1
                 extension_set = self._insertion_support_set(
                     engine, prefix_sets, gap, event, stop_below=support
@@ -332,10 +380,7 @@ class ClosureChecker:
     # ------------------------------------------------------------------
     def _candidate_events(self, support: int) -> list[Event]:
         """Events that could possibly appear in an equal-support extension."""
-        return sorted(
-            (e for e, total in self._event_totals.items() if total >= support),
-            key=repr,
-        )
+        return [event for event, total in self._event_totals if total >= support]
 
     def _engine_for(self, support_set: SupportSetLike) -> SupportEngine:
         """The engine to grow extension probes with.
@@ -357,18 +402,16 @@ class ClosureChecker:
         self.grow_calls += 1
         return engine.grow(self.index, support_set, event, constraint=self.constraint)
 
-    def _pair_support_of(self, engine: SupportEngine, first: Event, second: Event) -> int:
-        """Memoised repetitive support of the 2-event pattern ``first second``.
+    def _pair_support(self, engine: SupportEngine, first: Event, second: Event) -> int:
+        """Grow the 2-event pattern ``first second`` and record its support."""
+        support = self._grow(engine, self.initial(engine, first), second).support
+        self._record_pair(first, second, support)
+        return support
 
-        Supports are representation-independent, so the cache is shared even
-        if callers alternate engines.
-        """
-        key = (first, second)
-        cached = self._pair_support.get(key)
-        if cached is None:
-            cached = self._grow(engine, self.initial(engine, first), second).support
-            self._pair_support[key] = cached
-        return cached
+    def _record_pair(self, first: Event, second: Event, support: int) -> None:
+        """Enter ``sup(first second)`` in both directions of the 2-gram table."""
+        self._pairs_starting.setdefault(first, {})[second] = support
+        self._pairs_ending.setdefault(second, {})[first] = support
 
     def _insertion_support_set(
         self,

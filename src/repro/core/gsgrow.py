@@ -217,6 +217,7 @@ class GSgrow:
             self._engine = self._engine.with_spill(policy)
         clock = self.obs.clock
         started = clock()
+        dfs_started = None
         try:
             self._prepare(index)
             events = self._candidate_events(index)
@@ -231,8 +232,10 @@ class GSgrow:
                         return
                     self.stats.patterns_reported += 1
                     yield mined
-            self.stats.phase_seconds["dfs"] = clock() - dfs_started
         finally:
+            # A `max_patterns` stop or an abandoned generator ends the DFS too.
+            if dfs_started is not None:
+                self.stats.phase_seconds["dfs"] = clock() - dfs_started
             self._finish()
             self.stats.phase_seconds["total"] = clock() - started
             self._record_obs()
@@ -318,7 +321,8 @@ class GSgrow:
         ``P ∘ e ∘ f`` contains ``P ∘ f``, and repetitive support never grows
         under extension (Apriori), so only the events of ``P``'s frequent
         children can make a frequent grandchild.  A gap constraint breaks
-        that monotonicity, so constrained runs keep every event.
+        that monotonicity, so constrained runs keep every event.  CloGSgrow
+        also hands the list to its closure checker as the append bound.
         """
         return frequent if self.config.constraint is None else events
 

@@ -16,7 +16,32 @@ from repro.core.pattern import Pattern, as_pattern
 from repro.core.support import SupportSet
 
 
-@dataclass(frozen=True)
+class _NoCounts(dict[int, int]):
+    """An empty, read-only ``per_sequence`` mapping, one for the whole process.
+
+    A ``dict`` so it equals ``{}`` and reads like one; pickling names the
+    module-level instance, so a result shipped between processes keeps
+    sharing it.
+    """
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("per_sequence of a result mined without instances is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return "NO_COUNTS"
+
+
+#: The ``per_sequence`` of every :class:`MinedPattern` mined without
+#: instances (``store_instances=False``).
+NO_COUNTS: dict[int, int] = _NoCounts()
+
+
+@dataclass(frozen=True, slots=True)
 class MinedPattern:
     """One mined pattern together with its repetitive support.
 
@@ -36,13 +61,17 @@ class MinedPattern:
     per_sequence:
         Number of support-set instances per sequence index — the feature
         values suggested in the paper's future-work section.  Only populated
-        when instances were kept.
+        when instances were kept; every other pattern shares the empty,
+        read-only :data:`NO_COUNTS` (equal to ``{}``), so a large result
+        holds no per-pattern dictionary.
     """
 
     pattern: Pattern
     support: int
     support_set: SupportSet | None = field(default=None, compare=False, repr=False)
-    per_sequence: dict[int, int] = field(default_factory=dict, compare=False, repr=False)
+    per_sequence: dict[int, int] = field(
+        default_factory=lambda: NO_COUNTS, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if self.support < 0:

@@ -102,6 +102,14 @@ class TestOptions:
         assert all(len(p) <= 2 for p in capped.patterns())
         assert all(entry.support >= 3 for entry in capped)
 
+    def test_events_restrict_the_patterns_not_the_closure_check(self):
+        # A's append AB has A's support although B is not among the events,
+        # so no append bound may be taken from the restricted list.
+        db = SequenceDatabase.from_strings(["ABCAB", "AB"])
+        assert mine_closed(db, 2).as_dict() == {Pattern("AB"): 3}
+        assert len(mine_closed(db, 2, events=["A"])) == 0
+        assert len(mine_closed(db, 2, events=["A", "C"], max_length=1)) == 0
+
     def test_empty_database(self):
         assert len(mine_closed(SequenceDatabase(), 1)) == 0
 
@@ -151,11 +159,21 @@ class _PathAuditingMiner(CloGSgrow):
         assert [node.events for node in self.checker.path] == self.live
 
 
-class TestPathScopedState:
-    #: DFS-side grows of CloGSgrow(2) on Table III, as counted before the
-    #: per-node state became path-scoped (each child grown once per node).
-    TABLE3_DFS_GROWS = 160
+class _ChildRecordingMiner(CloGSgrow):
+    """CloGSgrow that records the child events of every frequent node it visits."""
 
+    def _prepare(self, index):
+        super()._prepare(index)
+        self.roots = index.frequent_events(self.config.min_sup)
+        self.child_events = {}
+
+    def _mine_fre(self, index, support_set, events, prefix_sets):
+        if support_set.support >= self.config.min_sup:
+            self.child_events[support_set.pattern] = list(events)
+        yield from super()._mine_fre(index, support_set, events, prefix_sets)
+
+
+class TestPathScopedState:
     def test_node_state_never_outlives_the_live_path(self, table3):
         miner = _PathAuditingMiner(2)
         result = miner.mine(table3)
@@ -170,6 +188,18 @@ class TestPathScopedState:
         assert miner.checker.path == []
 
     def test_each_child_is_grown_once_per_visit_of_its_parent(self, table3):
-        miner = CloGSgrow(2)
+        miner = _ChildRecordingMiner(2)
         miner.mine(table3)
-        assert miner.stats.dfs_grow_calls == self.TABLE3_DFS_GROWS
+        visited = miner.child_events
+        # The child events of P = Q∘x are P's frequent siblings: the events e
+        # whose Q∘e the DFS visited (Q was not pruned, or P would not be visited).
+        for pattern, events in visited.items():
+            if len(pattern) == 1:
+                assert events == miner.roots
+            else:
+                parent = pattern.prefix(len(pattern) - 1)
+                assert events == [e for e in visited[parent] if parent.grow(e) in visited]
+        # Uncapped, every visited node grows each of its children once.
+        assert miner.stats.dfs_grow_calls == sum(len(events) for events in visited.values())
+        # Growing every event at every node would take more.
+        assert miner.stats.dfs_grow_calls < len(visited) * len(miner.roots)

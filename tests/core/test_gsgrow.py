@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.core.clogsgrow import CloGSgrow
 from repro.core.constraints import GapConstraint
 from repro.core.gsgrow import GSgrow, MinerConfig, mine_all
 from repro.core.pattern import Pattern
 from repro.core.reference import frequent_patterns_bruteforce
 from repro.db.database import SequenceDatabase
 from repro.db.index import InvertedEventIndex
+from repro.obs import MetricsRegistry
 
 
 class TestConfigValidation:
@@ -140,3 +142,22 @@ class TestStats:
         first = miner.stats.patterns_reported
         miner.mine(table3)
         assert miner.stats.patterns_reported == first
+
+    @pytest.mark.parametrize("stop", ["max_patterns", "abandoned"])
+    def test_early_stopped_mine_records_its_dfs_phase(self, table3, stop):
+        obs = MetricsRegistry()
+        if stop == "max_patterns":
+            miner = CloGSgrow(2, max_patterns=2, obs=obs)
+            assert len(miner.mine(table3)) == 2
+        else:
+            miner = CloGSgrow(2, obs=obs)
+            patterns = miner.mine_iter(table3)
+            next(patterns)
+            patterns.close()
+        assert sorted(miner.stats.phase_seconds) == ["dfs", "prepare", "total"]
+        CloGSgrow(2, obs=obs).mine(table3)
+        snapshot = obs.snapshot()
+        runs = snapshot["counters"]["mine.runs"]
+        assert runs == 2
+        for phase in ("prepare", "dfs", "total"):
+            assert snapshot["histograms"][f"mine.phase.{phase}.seconds"]["count"] == runs

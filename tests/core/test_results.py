@@ -1,9 +1,13 @@
 """Tests for :mod:`repro.core.results` containers."""
 
+import pickle
+
 import pytest
 
+from repro.api import mine_many
+from repro.core.clogsgrow import CloGSgrow
 from repro.core.pattern import Pattern
-from repro.core.results import MinedPattern, MiningResult
+from repro.core.results import NO_COUNTS, MinedPattern, MiningResult
 
 
 def entry(pattern, support):
@@ -105,3 +109,42 @@ class TestRelations:
         maximal = sample_result.maximal_patterns()
         assert "A" not in maximal and "AB" not in maximal
         assert "ABC" in maximal and "ABD" in maximal and "XY" in maximal
+
+
+class TestLeanMinedPattern:
+    """A pattern mined without instances carries no per-pattern dictionary."""
+
+    def test_mined_pattern_has_no_instance_dict(self):
+        assert not hasattr(entry("AB", 3), "__dict__")
+
+    def test_compressed_patterns_share_one_empty_per_sequence(self, table3):
+        first, second, *_ = CloGSgrow(2).mine(table3)
+        assert first.per_sequence == {}
+        assert first.per_sequence is second.per_sequence
+        with pytest.raises(TypeError):
+            first.per_sequence[0] = 1
+
+    def test_kept_instances_keep_their_counts(self, table3):
+        for mined in CloGSgrow(2, store_instances=True).mine(table3):
+            assert mined.per_sequence == mined.support_set.per_sequence_counts()
+            assert sum(mined.per_sequence.values()) == mined.support
+
+    @pytest.mark.parametrize("store_instances", [False, True], ids=["compressed", "full"])
+    def test_result_pickles_and_round_trips(self, table3, store_instances):
+        result = CloGSgrow(2, store_instances=store_instances).mine(table3)
+        copy = pickle.loads(pickle.dumps(result))
+        assert list(copy) == list(result)
+        assert [p.per_sequence for p in copy] == [p.per_sequence for p in result]
+        if not store_instances:
+            assert all(p.per_sequence is NO_COUNTS for p in copy)
+
+    @pytest.mark.parametrize("store_instances", [False, True], ids=["compressed", "full"])
+    def test_pooled_mine_many_equals_serial(self, table2, table3, store_instances):
+        serial = mine_many([table2, table3], 2, store_instances=store_instances)
+        pooled = mine_many([table2, table3], 2, store_instances=store_instances, n_jobs=2)
+        assert [list(r) for r in pooled] == [list(r) for r in serial]
+        assert [[p.per_sequence for p in r] for r in pooled] == [
+            [p.per_sequence for p in r] for r in serial
+        ]
+        if not store_instances:  # unpickled in this process, still the shared mapping
+            assert all(p.per_sequence is NO_COUNTS for r in pooled for p in r)
