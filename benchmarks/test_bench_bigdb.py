@@ -33,7 +33,7 @@ import pytest
 
 from repro.core.clogsgrow import CloGSgrow, mine_closed
 from repro.datagen.gazelle import GazelleLikeGenerator
-from repro.db.backend import can_map_zero_copy
+from repro.db.columns import zero_copy_unavailable_reason
 from repro.match.service import PatternMatcher
 from repro.match.store import PatternStore
 from repro.obs import MetricsRegistry
@@ -165,7 +165,7 @@ def test_bigdb_mine_and_serve_under_memory_budget(benchmark, run_once, tmp_path,
 
     assert stats["patterns"] > 0
     assert stats["sequences_scored"] > 0
-    if can_map_zero_copy():
+    if zero_copy_unavailable_reason() is None:
         # The budget claim: sealed data is mapped, not resident — the tail
         # (plus per-list overhead on a just-opened overlay) stays within a
         # small multiple of the seal threshold regardless of database size.

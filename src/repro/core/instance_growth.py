@@ -39,10 +39,9 @@ from bisect import bisect_right
 
 from repro.core.constraints import GapConstraint
 from repro.core.support import SupportSet
-from repro.db.index import POSITION_TYPECODE, InvertedEventIndex
+from repro.db.columns import ITEMSIZE, POSITION_TYPECODE
+from repro.db.index import InvertedEventIndex
 from repro.db.sequence import Event
-
-_ITEMSIZE = array(POSITION_TYPECODE).itemsize
 
 
 def ins_grow(
@@ -88,8 +87,8 @@ def ins_grow(
         return SupportSet.from_arrays(grown_pattern, empty, array(POSITION_TYPECODE), out_m)
     # Pre-sized outputs (a grown set is never larger than its parent); the
     # memoryviews make the per-instance landmark copy a buffer-to-buffer move.
-    out_seqs = array(POSITION_TYPECODE, bytes(_ITEMSIZE * n))
-    out_lands = array(POSITION_TYPECODE, bytes(_ITEMSIZE * n * out_m))
+    out_seqs = array(POSITION_TYPECODE, bytes(ITEMSIZE * n))
+    out_lands = array(POSITION_TYPECODE, bytes(ITEMSIZE * n * out_m))
     in_mv = memoryview(lands)
     out_mv = memoryview(out_lands)
     column = index.backend.column_getter(eid)

@@ -16,7 +16,9 @@ with ``memoryview`` columns over the mapping.  Everything downstream
 (growth sweeps, closure border checks, ``numpy.frombuffer``) already
 accepts either column kind — the disk-backed index established that
 contract — so a spilled set is observationally identical to a resident
-one, just paged by the OS instead of held on the heap.
+one, just paged by the OS instead of held on the heap.  The file is
+written and mapped through :mod:`repro.db.columns`, the column codec that
+pattern stores and index segments share.
 
 Because the wrap happens on :class:`~repro.core.engine.SupportEngine`
 (:meth:`~repro.core.engine.SupportEngine.with_spill`), both the
@@ -33,26 +35,21 @@ from __future__ import annotations
 
 import os
 import tempfile
-from array import array
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.core.compressed import CompressedSupportSet
 from repro.core.support import SupportSet
-from repro.db.backend import POSITION_TYPECODE, can_map_zero_copy
+from repro.db.columns import (
+    ITEMSIZE,
+    Column,
+    ColumnFile,
+    column_bytes,
+    zero_copy_unavailable_reason,
+)
 
 if TYPE_CHECKING:
     from repro.core.engine import SupportSetLike
     from repro.obs import MetricsRegistry
-
-_mmap: Any
-try:  # pragma: no cover - exercised via the disabled-policy tests
-    import mmap as _mmap_module
-
-    _mmap = _mmap_module
-except ImportError:  # pragma: no cover - platforms without mmap
-    _mmap = None
-
-_ITEMSIZE = array(POSITION_TYPECODE).itemsize
 
 __all__ = ["SpillPolicy", "spilled_bytes"]
 
@@ -60,9 +57,9 @@ __all__ = ["SpillPolicy", "spilled_bytes"]
 def spilled_bytes(support_set: "SupportSetLike") -> int:
     """Byte size of a set's columns (what :class:`SpillPolicy` budgets)."""
     if isinstance(support_set, CompressedSupportSet):
-        return 3 * len(support_set.seq_indices_array) * _ITEMSIZE
+        return 3 * len(support_set.seq_indices_array) * ITEMSIZE
     rows = len(support_set.seq_indices_array)
-    return rows * (1 + support_set.row_width) * _ITEMSIZE
+    return rows * (1 + support_set.row_width) * ITEMSIZE
 
 
 class SpillPolicy:
@@ -100,7 +97,7 @@ class SpillPolicy:
         if directory is not None:
             os.makedirs(directory, exist_ok=True)
         self._directory = directory
-        self.enabled = _mmap is not None and can_map_zero_copy()
+        self.enabled = zero_copy_unavailable_reason() is None
         self._spills = obs.counter("core.spill.spills") if obs is not None else None
         self._bytes = obs.counter("core.spill.bytes") if obs is not None else None
         self._skipped = obs.counter("core.spill.skipped") if obs is not None else None
@@ -136,7 +133,7 @@ class SpillPolicy:
             self._bytes.inc(nbytes)
         return spilled
 
-    def _remap(self, *columns: Any) -> tuple["memoryview[int]", ...]:
+    def _remap(self, *columns: Column) -> tuple[Column, ...]:
         """Write ``columns`` to an unlinked temp file and map them back.
 
         The returned views all share one read-only mapping; the mapping
@@ -147,17 +144,15 @@ class SpillPolicy:
         try:
             with os.fdopen(fd, "wb") as handle:
                 for column in columns:
-                    handle.write(_raw_bytes(column))
-            with open(path, "rb") as handle:
-                mapping = _mmap.mmap(handle.fileno(), 0, access=_mmap.ACCESS_READ)
+                    handle.write(column_bytes(column))
+            source = ColumnFile.open(path, mmap=True)
         finally:
             os.unlink(path)
-        data = memoryview(mapping)
-        views: list["memoryview[int]"] = []
+        views: list[Column] = []
         offset = 0
         for column in columns:
-            end = offset + len(column) * _ITEMSIZE
-            views.append(data[offset:end].cast(POSITION_TYPECODE))
+            end = offset + len(column) * ITEMSIZE
+            views.append(source.column(offset, end))
             offset = end
         return tuple(views)
 
@@ -165,9 +160,3 @@ class SpillPolicy:
         state = "enabled" if self.enabled else "disabled"
         return f"SpillPolicy(budget_bytes={self.budget_bytes}, {state})"
 
-
-def _raw_bytes(column: Any) -> bytes:
-    """Native-endian bytes of an int64 column (array or memoryview)."""
-    if isinstance(column, array):
-        return column.tobytes()
-    return bytes(column)

@@ -11,6 +11,8 @@ This subpackage provides the input-side machinery that the miners in
   (``L_{e,S_i}`` lists) used to answer ``next(S, e, lowest)`` queries in
   logarithmic time.
 * :mod:`repro.db.io` — readers and writers for a few simple on-disk formats.
+* :mod:`repro.db.columns` — the int64 column-file codec under index
+  segments, pattern stores and spill files.
 * :mod:`repro.db.stats` — summary statistics used by the experiment reports.
 """
 

@@ -36,6 +36,7 @@ Byte-format internals (:mod:`~repro.db.backend.layout`,
 :mod:`~repro.db.backend.disk`) may only be imported from inside
 :mod:`repro.db` — reprolint rule RL007 enforces the seam.  Everything else
 uses this facade: :func:`make_backend` plus the re-exported names below.
+The int64 column codec under both formats is :mod:`repro.db.columns`.
 """
 
 from __future__ import annotations
@@ -44,14 +45,8 @@ from array import array
 from collections.abc import Callable, Iterator, Mapping
 from typing import Protocol, runtime_checkable
 
-from repro.db.backend.layout import (
-    FORMAT_VERSION,
-    POSITION_TYPECODE,
-    BackendFormatError,
-    Column,
-    PathLike,
-    can_map_zero_copy,
-)
+from repro.db.backend.layout import FORMAT_VERSION, BackendFormatError
+from repro.db.columns import ITEMSIZE, POSITION_TYPECODE, Column, PathLike
 
 __all__ = [
     "BackendFormatError",
@@ -60,11 +55,8 @@ __all__ = [
     "FORMAT_VERSION",
     "POSITION_TYPECODE",
     "RamColumnStore",
-    "can_map_zero_copy",
     "make_backend",
 ]
-
-_ITEMSIZE = array(POSITION_TYPECODE).itemsize
 
 
 @runtime_checkable
@@ -185,7 +177,7 @@ class RamColumnStore:
 
     def memory_stats(self) -> dict[str, int]:
         resident = sum(
-            len(plist) * _ITEMSIZE
+            len(plist) * ITEMSIZE
             for columns in self._columns.values()
             for plist in columns.values()
         )
@@ -210,15 +202,14 @@ def make_backend(
     *,
     directory: PathLike | None = None,
     segment_bytes: int | None = None,
-    use_mmap: bool | str = "auto",
 ) -> ColumnStore:
     """Resolve a backend spec into a :class:`ColumnStore`.
 
     ``spec`` is ``"ram"``/``None`` (the default in-RAM store), ``"disk"``
     (a :class:`~repro.db.backend.disk.DiskColumnStore` in ``directory`` —
     a temp dir removed on close when ``directory`` is ``None``), or an
-    already-constructed store, returned as-is.  ``segment_bytes`` and
-    ``use_mmap`` only apply to ``"disk"``.
+    already-constructed store, returned as-is.  ``segment_bytes`` only
+    applies to ``"disk"``.
     """
     if spec is None or spec == "ram":
         return RamColumnStore()
@@ -228,7 +219,6 @@ def make_backend(
         return DiskColumnStore(
             directory,
             segment_bytes=DEFAULT_SEGMENT_BYTES if segment_bytes is None else segment_bytes,
-            use_mmap=use_mmap,
         )
     if isinstance(spec, str):
         raise ValueError(f"unknown db backend {spec!r} (expected 'ram' or 'disk')")

@@ -35,19 +35,19 @@ import shutil
 import tempfile
 import weakref
 from array import array
+from bisect import bisect_right
 from collections.abc import Callable, Iterator, Mapping
 from pathlib import Path
 
 from repro.db.backend.layout import (
+    JOURNAL_HEADER_SIZE,
     NEW_SEQUENCE,
-    POSITION_TYPECODE,
-    Column,
-    PathLike,
     Segment,
     TailJournal,
     open_segment,
     write_segment,
 )
+from repro.db.columns import ITEMSIZE, POSITION_TYPECODE, Column, PathLike
 
 #: Default seal threshold for the in-RAM tail (bytes of position payload).
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
@@ -55,8 +55,6 @@ DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
 #: Rough per-list RAM overhead charged against the tail budget (dict slot,
 #: array object header) on top of the 8 bytes per position.
 _LIST_OVERHEAD = 64
-
-_ITEMSIZE = array(POSITION_TYPECODE).itemsize
 
 _SEGMENT_GLOB = "seg-*.rdbs"
 _JOURNAL_NAME = "tail.rdbj"
@@ -83,10 +81,6 @@ class DiskColumnStore:
         Tail size that triggers sealing a segment.  Smaller values bound
         RAM tighter at the cost of more (and more fragmented) segment
         files.
-    use_mmap:
-        Passed through to :func:`~.layout.open_segment`: ``"auto"`` maps
-        when the platform allows and silently decodes a copy otherwise;
-        ``False`` always copies (then "mapped" bytes are resident too).
     """
 
     def __init__(
@@ -94,13 +88,11 @@ class DiskColumnStore:
         directory: PathLike | None = None,
         *,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-        use_mmap: bool | str = "auto",
     ) -> None:
         if segment_bytes <= 0:
             raise ValueError(f"segment_bytes must be positive, got {segment_bytes}")
         self.name = "disk"
         self._segment_bytes = segment_bytes
-        self._use_mmap = use_mmap
         self._ephemeral = directory is None
         if directory is None:
             self._directory = Path(tempfile.mkdtemp(prefix="repro-db-"))
@@ -128,7 +120,7 @@ class DiskColumnStore:
         if journal_path.exists():
             self._replay_journal(journal_path)
         self._journal = TailJournal(journal_path)
-        if self._count and not journal_path.stat().st_size > 8:
+        if self._count and not journal_path.stat().st_size > JOURNAL_HEADER_SIZE:
             # Fresh journal over existing segments: persist the sequence
             # count so empty trailing sequences survive the next reopen.
             self._journal.record_new_sequence(self._count)
@@ -235,7 +227,7 @@ class DiskColumnStore:
             self._tail[i] = tail_lists
             for eid, plist in tail_lists.items():
                 self._journal.record_positions(i, eid, plist)
-                self._tail_bytes += len(plist) * _ITEMSIZE + _LIST_OVERHEAD
+                self._tail_bytes += len(plist) * ITEMSIZE + _LIST_OVERHEAD
             self._maybe_seal()
         return i
 
@@ -244,7 +236,7 @@ class DiskColumnStore:
         self._one[0] = position
         self._journal.record_positions(i, eid, self._one)
         self._overlay_list(i, eid).append(position)
-        self._tail_bytes += _ITEMSIZE
+        self._tail_bytes += ITEMSIZE
         self._maybe_seal()
 
     def flush(self) -> None:
@@ -326,7 +318,7 @@ class DiskColumnStore:
             else:
                 plist = array(POSITION_TYPECODE)
             per_event[eid] = plist
-            self._tail_bytes += len(plist) * _ITEMSIZE + _LIST_OVERHEAD
+            self._tail_bytes += len(plist) * ITEMSIZE + _LIST_OVERHEAD
         return plist
 
     def _maybe_seal(self) -> None:
@@ -340,7 +332,7 @@ class DiskColumnStore:
         path = self._directory / f"seg-{self._next_segment_number:08d}.rdbs"
         self._next_segment_number += 1
         write_segment(path, self._tail)
-        self._segments.append(open_segment(path, use_mmap=self._use_mmap))
+        self._segments.append(open_segment(path))
         self._tail.clear()
         self._tail_bytes = 0
         self._seals += 1
@@ -355,20 +347,30 @@ class DiskColumnStore:
         """Open existing segment files (oldest first) when reusing a directory."""
         paths = sorted(self._directory.glob(_SEGMENT_GLOB))
         for path in paths:
-            segment = open_segment(path, use_mmap=self._use_mmap)
+            segment = open_segment(path)
             self._segments.append(segment)
             self._count = max(self._count, segment.max_seq)
         if paths:
             self._next_segment_number = int(paths[-1].stem.split("-")[1]) + 1
 
     def _replay_journal(self, path: Path) -> None:
-        """Re-apply journalled tail records left behind by the last process."""
+        """Re-apply journalled tail records left behind by the last process.
+
+        A crash inside :meth:`seal`, after the new segment landed but before
+        the journal reset, leaves records whose positions that segment
+        already holds.  Positions per pair only grow, so a journalled
+        position at or below the pair's current last one is such a copy
+        and is skipped.
+        """
         for i, eid, positions in TailJournal.replay(path):
             self._count = max(self._count, i)
             if eid == NEW_SEQUENCE:
                 continue
-            self._overlay_list(i, eid).extend(positions)
-            self._tail_bytes += len(positions) * _ITEMSIZE
+            plist = self._overlay_list(i, eid)
+            if plist:
+                positions = positions[bisect_right(positions, plist[-1]) :]
+            plist.extend(positions)
+            self._tail_bytes += len(positions) * ITEMSIZE
 
 
 def _noop(directory: Path) -> None:

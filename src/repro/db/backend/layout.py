@@ -1,10 +1,10 @@
 """On-disk byte formats of the disk column store (segments + tail journal).
 
-This module owns every byte the disk backend writes, mirroring the
-conventions of the pattern store (:mod:`repro.match.store`): little-endian
-``int64`` columns, magic-prefixed versioned headers, atomic writes, and a
-zero-copy mmap read path with a copying fallback for platforms that cannot
-map (no :mod:`mmap` module, a big-endian host, an unmappable file).
+This module owns the layout of every byte the disk backend writes:
+magic-prefixed, versioned headers around ``int64`` columns.  The column
+codec, the zero-copy mmap read with its copying fallback (no :mod:`mmap`
+module, a big-endian host, an unmappable file) and the atomic write come
+from :mod:`repro.db.columns`, which pattern stores and spill files share.
 
 Two formats live here:
 
@@ -34,28 +34,22 @@ from __future__ import annotations
 import contextlib
 import os
 import struct
-import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
+from itertools import pairwise
 from pathlib import Path
-from typing import Any, Final, TypeAlias
 
-#: Typecode of every position/row column (signed 64-bit).  This module is
-#: the bottom of the storage stack, so it is the canonical definition;
-#: :mod:`repro.db.index` re-exports it for the rest of the codebase.
-POSITION_TYPECODE: Final = "q"
-
-#: The :mod:`mmap` module when importable, else ``None`` (copying fallback).
-_mmap: Any
-try:  # pragma: no cover - exercised via the monkeypatched fallback tests
-    import mmap as _mmap_module
-
-    _mmap = _mmap_module
-except ImportError:  # pragma: no cover - platforms without mmap
-    _mmap = None
-
-PathLike = str | Path
+from repro.db.columns import (
+    ITEMSIZE,
+    POSITION_TYPECODE,
+    Column,
+    ColumnFile,
+    PathLike,
+    atomic_write,
+    column_bytes,
+    column_from,
+)
 
 #: Magic bytes opening every segment file ("Repro DB Segment").
 SEGMENT_MAGIC = b"RDBS"
@@ -66,12 +60,6 @@ JOURNAL_MAGIC = b"RDBJ"
 #: Current format version of both files (bump on any layout change).
 FORMAT_VERSION = 1
 
-#: A column of ``int64`` values: a materialised array or a zero-copy view.
-Column: TypeAlias = "array[int] | memoryview[int]"
-
-_LITTLE_ENDIAN = sys.byteorder == "little"
-_ITEMSIZE = array(POSITION_TYPECODE).itemsize
-
 #: Segment header: magic, version, n_rows, n_positions, min_seq, max_seq.
 #: 40 bytes — a multiple of 8, so every column that follows stays aligned
 #: for the zero-copy ``memoryview.cast("q")``.
@@ -79,6 +67,9 @@ _SEGMENT_HEADER = struct.Struct("<4sIQQqq")
 
 #: Journal header: magic, version (8 bytes, aligned).
 _JOURNAL_HEADER = struct.Struct("<4sI")
+
+#: Size of a journal holding no records.
+JOURNAL_HEADER_SIZE = _JOURNAL_HEADER.size
 
 #: Journal record header: sequence index, event id, position count.  A
 #: record is this header followed by ``count`` little-endian ``int64``
@@ -94,34 +85,6 @@ class BackendFormatError(ValueError):
     """A segment or journal file does not decode (truncated, wrong magic...)."""
 
 
-def _column_bytes(column: "array[int]") -> bytes:
-    """Little-endian bytes of an ``int64`` column."""
-    if _LITTLE_ENDIAN:
-        return column.tobytes()
-    swapped = array(POSITION_TYPECODE, column)
-    swapped.byteswap()
-    return swapped.tobytes()
-
-
-def _column_from(buffer: bytes) -> "array[int]":
-    """An ``array('q')`` column from little-endian bytes."""
-    column = array(POSITION_TYPECODE)
-    column.frombytes(buffer)
-    if not _LITTLE_ENDIAN:
-        column.byteswap()
-    return column
-
-
-def can_map_zero_copy() -> bool:
-    """True when mmap'd segments can be viewed without decoding.
-
-    Zero-copy requires :mod:`mmap` and a little-endian host (the file format
-    is little-endian); otherwise segments are decoded through the copying
-    fallback and behave identically.
-    """
-    return _mmap is not None and _LITTLE_ENDIAN
-
-
 # ----------------------------------------------------------------------
 # Segments
 # ----------------------------------------------------------------------
@@ -130,10 +93,10 @@ class Segment:
 
     Four parallel row columns — ``eids``, ``seqs``, ``offsets``,
     ``lengths`` — sorted by ``(event id, sequence index)``, plus the flat
-    ``positions`` blob the offsets point into.  On the zero-copy path the
-    columns are ``memoryview`` s over one shared read-only mapping; on the
-    copying fallback they are materialised ``array('q')`` columns with the
-    same semantics.
+    ``positions`` blob the offsets point into.  The columns come from one
+    :class:`~repro.db.columns.ColumnFile`: ``memoryview`` s over its shared
+    read-only mapping, or decoded ``array('q')`` columns with the same
+    values when the file is a private copy.
     """
 
     __slots__ = (
@@ -145,36 +108,40 @@ class Segment:
         "positions",
         "min_seq",
         "max_seq",
-        "is_zero_copy",
         "file_bytes",
-        "_mapping",
+        "_source",
     )
 
-    def __init__(
-        self,
-        path: Path,
-        eids: Column,
-        seqs: Column,
-        offsets: Column,
-        lengths: Column,
-        positions: Column,
-        min_seq: int,
-        max_seq: int,
-        is_zero_copy: bool,
-        file_bytes: int,
-        mapping: Any = None,
-    ) -> None:
+    def __init__(self, path: Path, source: ColumnFile) -> None:
+        data = source.data
+        size = len(data)
+        if size < _SEGMENT_HEADER.size:
+            raise BackendFormatError(f"{path}: truncated segment header ({size} bytes)")
+        magic, version, n_rows, n_positions, min_seq, max_seq = _SEGMENT_HEADER.unpack_from(
+            data, 0
+        )
+        if magic != SEGMENT_MAGIC:
+            raise BackendFormatError(f"{path}: bad magic {magic!r} (not a segment file)")
+        if version != FORMAT_VERSION:
+            raise BackendFormatError(
+                f"{path}: unsupported segment format version {version} "
+                f"(this build reads version {FORMAT_VERSION})"
+            )
+        expected = _SEGMENT_HEADER.size + (4 * n_rows + n_positions) * ITEMSIZE
+        if size != expected:
+            raise BackendFormatError(
+                f"{path}: segment truncated or padded: {size} bytes on disk, "
+                f"{expected} expected for {n_rows} rows / {n_positions} positions"
+            )
+        bounds = [_SEGMENT_HEADER.size + k * n_rows * ITEMSIZE for k in range(5)] + [size]
+        self.eids, self.seqs, self.offsets, self.lengths, self.positions = (
+            source.column(a, b) for a, b in pairwise(bounds)
+        )
         self.path = path
-        self.eids = eids
-        self.seqs = seqs
-        self.offsets = offsets
-        self.lengths = lengths
-        self.positions = positions
         self.min_seq = min_seq
         self.max_seq = max_seq
-        self.is_zero_copy = is_zero_copy
-        self.file_bytes = file_bytes
-        self._mapping = mapping
+        self.file_bytes = size
+        self._source = source
 
     def __len__(self) -> int:
         return len(self.eids)
@@ -228,18 +195,18 @@ class Segment:
                 yield eid
             k = hi
 
+    @property
+    def is_zero_copy(self) -> bool:
+        """True when the columns are views over the file's mapping."""
+        return self._source.is_zero_copy
+
     def close(self) -> None:
-        """Release the mapping (the column views become invalid after this)."""
-        mapping = self._mapping
-        self._mapping = None
-        if mapping is None:
-            return
+        """Release the mapping (the columns become invalid after this)."""
         # Drop the exported column views so the mapping can actually close
         # (an mmap with live buffer exports refuses to).
         with contextlib.suppress(AttributeError):
             del self.eids, self.seqs, self.offsets, self.lengths, self.positions
-        with contextlib.suppress(BufferError, ValueError):
-            mapping.close()
+        self._source.close()
 
 
 def write_segment(path: PathLike, tail: dict[int, dict[int, "array[int]"]]) -> int:
@@ -276,26 +243,19 @@ def write_segment(path: PathLike, tail: dict[int, dict[int, "array[int]"]]) -> i
     payload = b"".join(
         (
             header,
-            _column_bytes(eids),
-            _column_bytes(seqs),
-            _column_bytes(offsets),
-            _column_bytes(lengths),
-            _column_bytes(blob),
+            column_bytes(eids),
+            column_bytes(seqs),
+            column_bytes(offsets),
+            column_bytes(lengths),
+            column_bytes(blob),
         )
     )
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
+    atomic_write(path, payload)
     return len(payload)
 
 
-def open_segment(path: PathLike, *, use_mmap: bool | str = "auto") -> Segment:
-    """Open a sealed segment, zero-copy when the platform allows.
-
-    ``use_mmap`` follows the pattern-store convention: ``"auto"`` maps when
-    possible and silently falls back to a decoded copy; ``True`` requires
-    the mapping (raises when unavailable); ``False`` always copies.
+def open_segment(path: PathLike) -> Segment:
+    """Open a sealed segment: zero-copy when the host can map it, a decoded copy otherwise.
 
     Raises
     ------
@@ -303,87 +263,12 @@ def open_segment(path: PathLike, *, use_mmap: bool | str = "auto") -> Segment:
         On wrong magic, unsupported version, or a truncated file.
     """
     path = Path(path)
-    want_map = use_mmap if isinstance(use_mmap, bool) else can_map_zero_copy()
-    if want_map and not can_map_zero_copy():
-        raise BackendFormatError(
-            f"{path}: zero-copy mapping requested but unavailable on this platform"
-        )
-
-    mapping: Any = None
-    if want_map:
-        with open(path, "rb") as handle:
-            try:
-                mapping = _mmap.mmap(handle.fileno(), 0, access=_mmap.ACCESS_READ)
-            except (ValueError, OSError) as exc:
-                if use_mmap is True:
-                    raise BackendFormatError(f"{path}: cannot mmap: {exc}") from exc
-                mapping = None
-    if mapping is not None:
-        data = memoryview(mapping)
-    else:
-        data = memoryview(path.read_bytes())
-
+    source = ColumnFile.open(path)
     try:
-        return _decode_segment(path, data, mapping)
+        return Segment(path, source)
     except BackendFormatError:
-        if mapping is not None:
-            data.release()
-            mapping.close()
+        source.close()
         raise
-
-
-def _decode_segment(path: Path, data: "memoryview[int]", mapping: Any) -> Segment:
-    """Decode a segment from its raw bytes (shared by both read paths)."""
-    size = len(data)
-    if size < _SEGMENT_HEADER.size:
-        raise BackendFormatError(f"{path}: truncated segment header ({size} bytes)")
-    magic, version, n_rows, n_positions, min_seq, max_seq = _SEGMENT_HEADER.unpack_from(
-        data, 0
-    )
-    if magic != SEGMENT_MAGIC:
-        raise BackendFormatError(f"{path}: bad magic {magic!r} (not a segment file)")
-    if version != FORMAT_VERSION:
-        raise BackendFormatError(
-            f"{path}: unsupported segment format version {version} "
-            f"(this build reads version {FORMAT_VERSION})"
-        )
-    expected = _SEGMENT_HEADER.size + (4 * n_rows + n_positions) * _ITEMSIZE
-    if size != expected:
-        raise BackendFormatError(
-            f"{path}: segment truncated or padded: {size} bytes on disk, "
-            f"{expected} expected for {n_rows} rows / {n_positions} positions"
-        )
-
-    start = _SEGMENT_HEADER.size
-    bounds = [start + k * n_rows * _ITEMSIZE for k in range(5)]
-    end = bounds[4] + n_positions * _ITEMSIZE
-    spans = list(zip(bounds, bounds[1:] + [end], strict=True))
-    columns: list[Column]
-    if mapping is not None and _LITTLE_ENDIAN:
-        columns = [data[a:b].cast(POSITION_TYPECODE) for a, b in spans]
-        zero_copy = True
-    else:
-        columns = [_column_from(bytes(data[a:b])) for a, b in spans]
-        zero_copy = False
-        if mapping is not None:
-            # The decoded copy no longer needs the mapping.
-            data.release()
-            mapping.close()
-            mapping = None
-    eids, seqs, offsets, lengths, positions = columns
-    return Segment(
-        path,
-        eids,
-        seqs,
-        offsets,
-        lengths,
-        positions,
-        min_seq,
-        max_seq,
-        zero_copy,
-        size,
-        mapping,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -404,7 +289,9 @@ class TailJournal:
     def __init__(self, path: PathLike) -> None:
         self.path = Path(path)
         if not self.path.exists():
-            self.path.write_bytes(_JOURNAL_HEADER.pack(JOURNAL_MAGIC, FORMAT_VERSION))
+            # Atomic, so a crash mid-creation leaves no headerless journal
+            # that would fail every later reopen.
+            atomic_write(self.path, _JOURNAL_HEADER.pack(JOURNAL_MAGIC, FORMAT_VERSION))
         self._handle = open(self.path, "r+b")
         self._handle.seek(0, os.SEEK_END)
 
@@ -415,7 +302,7 @@ class TailJournal:
     def record_positions(self, i: int, eid: int, positions: "array[int]") -> None:
         """Journal "these positions were appended to ``(S_i, eid)``"."""
         self._handle.write(_RECORD.pack(i, eid, len(positions)))
-        self._handle.write(_column_bytes(positions))
+        self._handle.write(column_bytes(positions))
 
     def flush(self) -> None:
         """Push buffered records to the OS (durability point)."""
@@ -457,8 +344,8 @@ class TailJournal:
             offset += _RECORD.size
             if count < 0 or (eid < 0 and eid != NEW_SEQUENCE):
                 return  # torn / garbage tail: stop at the last sane record
-            end = offset + count * _ITEMSIZE
+            end = offset + count * ITEMSIZE
             if end > size:
                 return  # torn positions payload: the record never completed
-            yield i, eid, _column_from(data[offset:end])
+            yield i, eid, column_from(data[offset:end])
             offset = end

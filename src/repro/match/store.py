@@ -27,6 +27,9 @@ N worker processes on one host share one physical copy of the column data
 Patterns are materialised lazily, on first access.  When the platform
 cannot map (no :mod:`mmap` module, a big-endian host, an unmappable file)
 the open falls back to the copying read path, so callers never branch.
+The column codec, the mapping and the atomic write are
+:mod:`repro.db.columns`, shared with the index segments and spill files;
+both read paths go through one decoder.
 
 :func:`load_patterns` sniffs the magic bytes and dispatches to whichever
 decoder matches, so callers never care which encoding a file uses.
@@ -38,36 +41,32 @@ in-memory mining are rejected at store-build time with a clear error.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import struct
-import sys
 import time
 from array import array
 from collections.abc import Iterable, Iterator
+from itertools import pairwise
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, TypeAlias
+from typing import TYPE_CHECKING, Any
 
 from repro.core.pattern import Pattern, as_pattern
 from repro.core.results import MinedPattern, MiningResult
-from repro.db.index import POSITION_TYPECODE
+from repro.db.columns import (
+    ITEMSIZE,
+    POSITION_TYPECODE,
+    Column,
+    ColumnFile,
+    PathLike,
+    atomic_write,
+    coerce_mmap_flag,
+    column_bytes,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids hard cross-package deps
     from repro.match.automaton import PatternAutomaton
     from repro.stream.miner import StreamUpdate
-
-#: The :mod:`mmap` module when importable, else ``None``.  Typed ``Any`` so
-#: the fallback assignment and the monkeypatched tests stay expressible.
-_mmap: Any
-try:  # pragma: no cover - exercised via the monkeypatched fallback tests
-    import mmap as _mmap_module
-
-    _mmap = _mmap_module
-except ImportError:  # pragma: no cover - platforms without mmap
-    _mmap = None
-
-PathLike = str | Path
 
 #: Magic bytes opening every binary store file.
 MAGIC = b"RPST"
@@ -82,40 +81,12 @@ _HEADER = struct.Struct("<4sI")  # magic, version
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 
-_LITTLE_ENDIAN = sys.byteorder == "little"
-
-#: Bytes per column element (``array('q')`` item size; 8 everywhere we run).
-_ITEMSIZE = array(POSITION_TYPECODE).itemsize
-
-#: A column of ``int64`` values: a materialised array or a zero-copy view.
-#: (String form: ``memoryview[int]`` is not subscriptable at runtime on every
-#: supported interpreter, and this alias is evaluated at import.)
-Column: TypeAlias = "array[int] | memoryview[int]"
-
 
 def _dumps(data: Any) -> bytes:
     """Deterministic JSON bytes (sorted keys, fixed separators, raw UTF-8)."""
     return json.dumps(
         data, ensure_ascii=False, sort_keys=True, separators=(",", ":")
     ).encode()
-
-
-def _column_bytes(column: Column) -> bytes:
-    """Little-endian bytes of an ``int64`` column (array or memoryview)."""
-    if _LITTLE_ENDIAN:
-        return column.tobytes()
-    swapped = array(POSITION_TYPECODE, column)
-    swapped.byteswap()
-    return swapped.tobytes()
-
-
-def _column_from(buffer: bytes) -> array[int]:
-    """An ``array('q')`` column from little-endian bytes."""
-    column = array(POSITION_TYPECODE)
-    column.frombytes(buffer)
-    if not _LITTLE_ENDIAN:
-        column.byteswap()
-    return column
 
 
 def _check_event(event: object) -> None:
@@ -127,73 +98,13 @@ def _check_event(event: object) -> None:
         )
 
 
-def _coerce_mmap_flag(mmap: bool | str) -> bool | str:
-    """Validate and normalise an ``mmap`` argument to ``"auto"``/``True``/``False``.
+def _parse_store(view: memoryview) -> tuple[dict[str, Any], list[Any], list[int]]:
+    """Split a binary store's bytes into header, alphabet and column bounds.
 
-    ``0``/``1`` pass the equality-based membership check but would miss the
-    identity-based dispatch (``mmap is False``), so non-``"auto"`` values
-    are re-normalised through ``bool``.
-    """
-    if mmap not in ("auto", True, False):
-        raise ValueError(f"mmap must be 'auto', True or False, got {mmap!r}")
-    return mmap if mmap == "auto" else bool(mmap)
-
-
-def _zero_copy_unavailable_reason() -> str | None:
-    """Why this platform cannot serve zero-copy stores (``None`` if it can).
-
-    The zero-copy path casts the file's little-endian column bytes directly
-    to native ``int64`` views, so it needs both a working :mod:`mmap` module
-    and a little-endian host; everywhere else :meth:`PatternStore.open`
-    falls back to the copying read path.
-    """
-    if _mmap is None:
-        return "the mmap module is unavailable on this platform"
-    if sys.byteorder != "little":
-        return "zero-copy stores require a little-endian host"
-    return None
-
-
-class _MappedSource:
-    """A read-only shared mapping of a store file (keeps the mmap alive).
-
-    The store's column ``memoryview`` s slice this object's mapping; holding
-    the source on the store keeps the mapping open exactly as long as any
-    view of it can be reached.  ``ACCESS_READ`` maps the file shared, so
-    in-place supports patches (:meth:`PatternStore.patch_file_supports`)
-    written by a publisher become visible through already-open views.
-    """
-
-    __slots__ = ("mapping", "view")
-
-    def __init__(self, path: Path) -> None:
-        with open(path, "rb") as handle:
-            self.mapping = _mmap.mmap(handle.fileno(), 0, access=_mmap.ACCESS_READ)
-        self.view: memoryview | None = memoryview(self.mapping)
-
-    def close(self) -> None:
-        """Release the view and the mapping (best effort).
-
-        Closing the mapping while column views are still reachable — e.g.
-        pinned by an in-flight exception traceback — raises ``BufferError``
-        inside :mod:`mmap`; in that case the mapping simply closes when the
-        last view is garbage-collected, so the error is swallowed here.
-        """
-        view, self.view = self.view, None
-        if view is not None:
-            view.release()
-        with contextlib.suppress(BufferError):
-            self.mapping.close()
-
-
-def _parse_store(view: memoryview) -> tuple[dict, list, memoryview, memoryview, memoryview]:
-    """Split a binary store's bytes into header, alphabet and raw column views.
-
-    Returns ``(header, alphabet, offsets, events, supports)`` where the last
-    three are little-endian byte views into ``view`` (not yet decoded), so
-    both the copying and the zero-copy readers share one validation path.
-    Raises :class:`ValueError` with a clear message on truncated or corrupt
-    input.
+    Returns ``(header, alphabet, bounds)`` where ``bounds`` holds the four
+    byte offsets around the offsets, events and supports columns (not yet
+    decoded).  Raises :class:`ValueError` with a clear message on truncated
+    or corrupt input.
     """
     if len(view) < _HEADER.size:
         raise ValueError("truncated pattern store (missing header)")
@@ -228,12 +139,13 @@ def _parse_store(view: memoryview) -> tuple[dict, list, memoryview, memoryview, 
         _check_event(event)
     n_patterns = _U64.unpack(take(_U64.size))[0]
     n_events = _U64.unpack(take(_U64.size))[0]
-    offsets = take((n_patterns + 1) * _ITEMSIZE)
-    events = take(n_events * _ITEMSIZE)
-    supports = take(n_patterns * _ITEMSIZE)
+    bounds = [cursor]
+    for count in (n_patterns + 1, n_events, n_patterns):
+        take(count * ITEMSIZE)
+        bounds.append(cursor)
     if cursor != len(view):
         raise ValueError("trailing bytes after pattern store payload")
-    return header, alphabet, offsets, events, supports
+    return header, alphabet, bounds
 
 
 def _validate_columns(
@@ -321,7 +233,7 @@ class PatternStore:
         self._events: Column = events
         self._supports: Column = supports
         self._patterns: list[Pattern] | None = patterns
-        self._source: _MappedSource | None = None
+        self._source: ColumnFile | None = None
         self.min_sup = min_sup
         self.algorithm = algorithm
         self.metadata = dict(metadata or {})
@@ -340,36 +252,6 @@ class PatternStore:
             algorithm=result.algorithm,
             metadata=metadata,
         )
-
-    @classmethod
-    def _from_columns(
-        cls,
-        header: dict[str, Any],
-        alphabet: list[Any],
-        offsets: Column,
-        events: Column,
-        supports: Column,
-        *,
-        source: _MappedSource | None = None,
-    ) -> PatternStore:
-        """Build a store directly over decoded columns (patterns stay lazy).
-
-        This is the loaders' constructor: the file's alphabet and column
-        order are kept verbatim (so load → save is a byte identity) and no
-        :class:`Pattern` objects are materialised until something asks for
-        them.  ``source`` keeps a zero-copy store's mapping alive.
-        """
-        store = cls.__new__(cls)
-        store._alphabet = list(alphabet)
-        store._offsets = offsets
-        store._events = events
-        store._supports = supports
-        store._patterns = None
-        store._source = source
-        store.min_sup = header.get("min_sup")
-        store.algorithm = header.get("algorithm")
-        store.metadata = header.get("metadata") or {}
-        return store
 
     def to_result(self) -> MiningResult:
         """The store's contents as a :class:`MiningResult`."""
@@ -578,7 +460,7 @@ class PatternStore:
         save fallback).
         """
         blob = self.to_bytes() if _blob is None else _blob
-        prefix = len(blob) - len(self._supports) * _ITEMSIZE
+        prefix = len(blob) - len(self._supports) * ITEMSIZE
         path = Path(path)
         try:
             if path.stat().st_size != len(blob):
@@ -592,12 +474,12 @@ class PatternStore:
                 tail = handle.read()
                 changed = [
                     start
-                    for start in range(0, len(tail), _ITEMSIZE)
-                    if tail[start : start + _ITEMSIZE]
-                    != blob[prefix + start : prefix + start + _ITEMSIZE]
+                    for start in range(0, len(tail), ITEMSIZE)
+                    if tail[start : start + ITEMSIZE]
+                    != blob[prefix + start : prefix + start + ITEMSIZE]
                 ]
                 if changed:
-                    first, last = changed[0], changed[-1] + _ITEMSIZE
+                    first, last = changed[0], changed[-1] + ITEMSIZE
                     handle.seek(prefix + first)
                     handle.write(blob[prefix + first : prefix + last])
         except FileNotFoundError:
@@ -629,21 +511,50 @@ class PatternStore:
             alphabet_blob,
             _U64.pack(len(self._supports)),
             _U64.pack(len(self._events)),
-            _column_bytes(self._offsets),
-            _column_bytes(self._events),
-            _column_bytes(self._supports),
+            column_bytes(self._offsets),
+            column_bytes(self._events),
+            column_bytes(self._supports),
         ]
         return b"".join(parts)
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> PatternStore:
         """Decode a binary store; the exact inverse of :meth:`to_bytes`."""
-        header, alphabet, offsets_b, events_b, supports_b = _parse_store(memoryview(blob))
-        offsets = _column_from(bytes(offsets_b))
-        events = _column_from(bytes(events_b))
-        supports = _column_from(bytes(supports_b))
-        _validate_columns(offsets, events, supports, alphabet)
-        return cls._from_columns(header, alphabet, offsets, events, supports)
+        return cls._decode(ColumnFile(memoryview(blob)))
+
+    @classmethod
+    def _decode(cls, source: ColumnFile) -> PatternStore:
+        """Decode a binary store from a mapped or copied file (every reader's path).
+
+        The file's alphabet and column order are kept verbatim (so load →
+        save is a byte identity) and no :class:`Pattern` objects are
+        materialised until something asks for them.  A mapped store keeps
+        ``source`` alive for its column views and defers the O(events)
+        event-id range check to pattern materialisation, so the open
+        neither scans nor pages in the events column; a copy is checked in
+        full here.
+        """
+        zero_copy = source.is_zero_copy
+        try:
+            header, alphabet, bounds = _parse_store(source.data)
+            offsets, events, supports = (source.column(a, b) for a, b in pairwise(bounds))
+            _validate_columns(
+                offsets, events, supports, alphabet, check_events=not zero_copy
+            )
+        except Exception:
+            source.close()  # best effort; the traceback pins views until GC
+            raise
+        store = cls.__new__(cls)
+        store._alphabet = alphabet
+        store._offsets = offsets
+        store._events = events
+        store._supports = supports
+        store._patterns = None
+        store._source = source if zero_copy else None
+        store.min_sup = header.get("min_sup")
+        store.algorithm = header.get("algorithm")
+        store.metadata = header.get("metadata") or {}
+        return store
 
     def save(self, path: PathLike, *, _blob: bytes | None = None) -> Path:
         """Write the binary encoding to ``path`` (atomically) and return it.
@@ -652,16 +563,12 @@ class PatternStore:
         a matcher loading concurrently never observes a half-written store.
         ``_blob`` is an internal hand-off of a precomputed :meth:`to_bytes`.
         """
-        path = Path(path)
-        staging = path.with_name(path.name + ".tmp")
-        staging.write_bytes(self.to_bytes() if _blob is None else _blob)
-        staging.replace(path)
-        return path
+        return atomic_write(path, self.to_bytes() if _blob is None else _blob)
 
     @classmethod
     def load(cls, path: PathLike) -> PatternStore:
         """Read a binary store written by :meth:`save` (private decoded copy)."""
-        return cls.from_bytes(Path(path).read_bytes())
+        return cls._decode(ColumnFile.open(path, mmap=False))
 
     @classmethod
     def open(
@@ -683,7 +590,9 @@ class PatternStore:
             falls back to the copying :meth:`load` otherwise; ``True``
             requires the zero-copy mapping (raises :class:`ValueError` with
             the platform's reason when unavailable); ``False`` is exactly
-            :meth:`load`.
+            :meth:`load`.  A required mapping never silently degrades: the
+            caller may rely on shared-mapping visibility of in-place
+            patches.
 
         Caveat (Windows): an open mapping pins the file — a publisher's
         atomic :meth:`save` onto the same path fails with
@@ -692,41 +601,7 @@ class PatternStore:
         ``mmap=False`` (in-place supports patches are unaffected; they keep
         the inode).  POSIX renames never conflict with mappings.
         """
-        mmap = _coerce_mmap_flag(mmap)
-        if mmap is False:
-            return cls.load(path)
-        reason = _zero_copy_unavailable_reason()
-        if reason is not None:
-            if mmap is True:
-                raise ValueError(f"cannot memory-map {path}: {reason}")
-            return cls.load(path)
-        try:
-            source = _MappedSource(Path(path))
-        except FileNotFoundError:
-            raise
-        except (OSError, ValueError) as exc:
-            # Unmappable file (empty/special, or a filesystem whose mmap
-            # fails).  A required mapping must not silently degrade — the
-            # caller may rely on shared-mapping visibility of in-place
-            # patches; "auto" falls back to the copying reader, which
-            # either succeeds or raises the right format error.
-            if mmap is True:
-                raise ValueError(f"cannot memory-map {path}: {exc}") from exc
-            return cls.load(path)
-        try:
-            header, alphabet, offsets_b, events_b, supports_b = _parse_store(source.view)
-            offsets = offsets_b.cast(POSITION_TYPECODE)
-            events = events_b.cast(POSITION_TYPECODE)
-            supports = supports_b.cast(POSITION_TYPECODE)
-            # Event-id range checking is deferred to pattern materialisation
-            # so the open neither scans nor pages in the events column.
-            _validate_columns(offsets, events, supports, alphabet, check_events=False)
-        except Exception:
-            source.close()  # best effort; the traceback pins views until GC
-            raise
-        return cls._from_columns(
-            header, alphabet, offsets, events, supports, source=source
-        )
+        return cls._decode(ColumnFile.open(path, mmap=mmap))
 
     # ------------------------------------------------------------------
     # JSON sibling
@@ -758,15 +633,9 @@ class PatternStore:
         return store
 
     def save_json(self, path: PathLike) -> Path:
-        """Write the human-readable JSON sibling to ``path``."""
-        path = Path(path)
-        staging = path.with_name(path.name + ".tmp")
-        staging.write_text(
-            json.dumps(self.to_json(), ensure_ascii=False, indent=2) + "\n",
-            encoding="utf-8",
-        )
-        staging.replace(path)
-        return path
+        """Write the human-readable JSON sibling to ``path`` (atomically)."""
+        text = json.dumps(self.to_json(), ensure_ascii=False, indent=2) + "\n"
+        return atomic_write(path, text.encode("utf-8"))
 
     @classmethod
     def load_json(cls, path: PathLike) -> PatternStore:
@@ -794,13 +663,11 @@ def load_patterns(path: PathLike, *, mmap: bool | str = False) -> PatternStore:
     >>> sorted(str(p) for p in store.patterns())
     ['AABB', 'AB', 'ABCD']
     """
-    mmap = _coerce_mmap_flag(mmap)
+    mmap = coerce_mmap_flag(mmap)
     path = Path(path)
     with open(path, "rb") as handle:
         head = handle.read(len(MAGIC))
     if head == MAGIC:
-        if mmap is False:
-            return PatternStore.load(path)
         return PatternStore.open(path, mmap=mmap)
     if mmap is True:
         raise ValueError(f"{path}: JSON pattern stores cannot be memory-mapped")

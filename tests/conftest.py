@@ -39,3 +39,15 @@ def table3() -> SequenceDatabase:
 def table3_index(table3) -> InvertedEventIndex:
     """Inverted event index of the Table III database."""
     return InvertedEventIndex(table3)
+
+
+@pytest.fixture
+def no_mmap(monkeypatch):
+    """Stand in for a host without :mod:`mmap`: every column file is read as a copy.
+
+    The one switch for pattern stores, index segments and spill files alike,
+    since they all map through :mod:`repro.db.columns`.
+    """
+    from repro.db import columns
+
+    monkeypatch.setattr(columns, "_mmap", None)

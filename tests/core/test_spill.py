@@ -13,7 +13,6 @@ from array import array
 
 import pytest
 
-import repro.core.spill as spill_module
 from repro.core.compressed import CompressedSupportSet
 from repro.core.gsgrow import GSgrow, mine_all
 from repro.core.spill import SpillPolicy, spilled_bytes
@@ -105,8 +104,7 @@ class TestMaybeSpill:
         assert obs.counter("core.spill.bytes").value == 2 * spilled_bytes(support)
         assert obs.counter("core.spill.skipped").value == 0
 
-    def test_without_mmap_the_policy_is_a_counted_noop(self, monkeypatch):
-        monkeypatch.setattr(spill_module, "_mmap", None)
+    def test_without_mmap_the_policy_is_a_counted_noop(self, no_mmap):
         obs = MetricsRegistry()
         policy = SpillPolicy(1, obs=obs)
         assert not policy.enabled

@@ -10,8 +10,9 @@ Three layers of coverage:
   every read API identically.
 * **Failure paths** — truncated/bad-magic/bad-version segment files,
   torn tail-journal records (crash mid-append), reopening a directory
-  after a simulated crash, and the copying fallback when :mod:`mmap` is
-  unavailable.
+  after a simulated crash (also inside a seal, and while the journal is
+  being created), and the copying fallback when :mod:`mmap` is
+  unavailable (the ``no_mmap`` fixture).
 
 The byte-format internals (``repro.db.backend.layout`` / ``.disk``) are
 imported directly here: tests sit outside ``repro`` and therefore outside
@@ -20,8 +21,10 @@ reprolint RL007's seam rule, and failure injection needs the raw formats.
 
 from __future__ import annotations
 
+import contextlib
 import random
 from array import array
+from pathlib import Path
 
 import pytest
 
@@ -31,10 +34,8 @@ from repro.db.backend import (
     BackendFormatError,
     ColumnStore,
     RamColumnStore,
-    can_map_zero_copy,
     make_backend,
 )
-from repro.db.backend import layout
 from repro.db.backend.disk import DiskColumnStore
 from repro.db.backend.layout import (
     JOURNAL_MAGIC,
@@ -43,6 +44,7 @@ from repro.db.backend.layout import (
     open_segment,
     write_segment,
 )
+from repro.db.columns import zero_copy_unavailable_reason
 from repro.db.database import SequenceDatabase
 from repro.db.index import InvertedEventIndex
 
@@ -212,7 +214,7 @@ class TestDiskColumnStore:
             stats = store.memory_stats()
             assert stats["segments"] >= 1
             assert len(list(directory.glob("seg-*.rdbs"))) == stats["segments"]
-            if can_map_zero_copy():
+            if zero_copy_unavailable_reason() is None:
                 assert stats["mapped_bytes"] > 0
         finally:
             store.close()
@@ -372,6 +374,75 @@ class TestCrashRecovery:
         finally:
             recovered.close()
 
+    @pytest.mark.parametrize("seed", [5, 6])
+    @pytest.mark.parametrize("crash_at_seal", [1, 3])
+    def test_crash_inside_seal_replays_without_duplicates(
+        self, tmp_path, monkeypatch, seed, crash_at_seal
+    ):
+        """Die after the new segment landed but before the journal reset."""
+
+        class Crash(Exception):
+            pass
+
+        seals = 0
+
+        def crashing_reset(journal):
+            nonlocal seals
+            seals += 1
+            if seals == crash_at_seal:
+                raise Crash
+
+        monkeypatch.setattr(TailJournal, "reset", crashing_reset)
+        ops = random_ops(random.Random(seed))
+        directory = tmp_path / "db"
+        store = DiskColumnStore(directory, segment_bytes=200)
+        applied = 0
+        with contextlib.suppress(Crash):
+            for op in ops:
+                applied += 1
+                apply_ops(store, [op])
+        assert seals == crash_at_seal, "the schedule never reached the crashing seal"
+        store.flush()  # every journalled record reached the OS before the crash
+        del store
+        monkeypatch.undo()
+
+        ram = RamColumnStore()
+        apply_ops(ram, ops[:applied])
+        recovered = DiskColumnStore(directory, segment_bytes=200)
+        try:
+            assert read_everything(recovered) == read_everything(ram)
+        finally:
+            recovered.close()
+
+    def test_interrupted_journal_creation_reopens(self, tmp_path, monkeypatch):
+        """Die after creating the journal file but before its header landed."""
+
+        class Crash(Exception):
+            pass
+
+        def torn_write_bytes(path, data):
+            path.touch()  # the file exists, its bytes never arrive
+            raise Crash
+
+        directory = tmp_path / "db"
+        monkeypatch.setattr(Path, "write_bytes", torn_write_bytes)
+        with pytest.raises(Crash):
+            DiskColumnStore(directory)
+        monkeypatch.undo()
+
+        recovered = DiskColumnStore(directory)
+        try:
+            assert recovered.sequence_count() == 0
+            recovered.add_sequence({0: positions_array([1, 2])})
+            recovered.flush()
+        finally:
+            recovered.close()
+        reopened = DiskColumnStore(directory)
+        try:
+            assert list(reopened.get(1, 0)) == [1, 2]
+        finally:
+            reopened.close()
+
     def test_sequence_count_survives_a_seal_then_crash(self, tmp_path):
         directory = tmp_path / "db"
         store = DiskColumnStore(directory)
@@ -475,8 +546,8 @@ class TestJournalFormatErrors:
 # The copying fallback (no mmap, or mapping refused)
 # ----------------------------------------------------------------------
 class TestMmapFallback:
-    def test_use_mmap_false_copies_and_counts_resident(self, tmp_path):
-        store = DiskColumnStore(tmp_path / "db", segment_bytes=1, use_mmap=False)
+    def test_without_mmap_segments_are_copies_counted_resident(self, tmp_path, no_mmap):
+        store = DiskColumnStore(tmp_path / "db", segment_bytes=1)
         try:
             store.add_sequence({0: positions_array([1, 2, 3])})
             assert list(store.get(1, 0)) == [1, 2, 3]
@@ -487,13 +558,12 @@ class TestMmapFallback:
         finally:
             store.close()
 
-    def test_missing_mmap_module_falls_back_to_copies(self, tmp_path, monkeypatch):
+    def test_missing_mmap_module_falls_back_to_copies(self, tmp_path, no_mmap):
         ops = random_ops(random.Random(9))
         ram = RamColumnStore()
         apply_ops(ram, ops)
 
-        monkeypatch.setattr(layout, "_mmap", None)
-        assert not can_map_zero_copy()
+        assert zero_copy_unavailable_reason() is not None
         store = DiskColumnStore(tmp_path / "db", segment_bytes=256)
         try:
             apply_ops(store, ops)
@@ -502,23 +572,15 @@ class TestMmapFallback:
         finally:
             store.close()
 
-    def test_segment_written_with_mmap_reads_back_without_it(self, tmp_path, monkeypatch):
+    def test_segment_written_with_mmap_reads_back_without_it(self, tmp_path, no_mmap):
         path = tmp_path / "seg-00000000.rdbs"
         write_segment(path, {1: {0: positions_array([1, 2, 3])}})
-        monkeypatch.setattr(layout, "_mmap", None)
         segment = open_segment(path)
         try:
             assert not segment.is_zero_copy
             assert list(segment.get(1, 0)) == [1, 2, 3]
         finally:
             segment.close()
-
-    def test_requiring_mmap_without_it_raises(self, tmp_path, monkeypatch):
-        path = tmp_path / "seg-00000000.rdbs"
-        write_segment(path, {1: {0: positions_array([1])}})
-        monkeypatch.setattr(layout, "_mmap", None)
-        with pytest.raises(BackendFormatError, match="zero-copy mapping requested"):
-            open_segment(path, use_mmap=True)
 
 
 # ----------------------------------------------------------------------

@@ -106,6 +106,15 @@ def test_rl007_allows_imports_inside_repro_db():
     assert _findings(GOOD / "repro" / "db" / "index.py") == []
 
 
+def test_rl007_mmap_outside_the_column_codec(bad_findings):
+    hits = _rules_for(bad_findings, "repro/db/backend/layout.py")
+    assert hits == [("RL007", 5), ("RL007", 6), ("RL007", 7)]
+
+
+def test_rl007_allows_mmap_in_the_column_codec():
+    assert _findings(GOOD / "repro" / "db" / "columns.py") == []
+
+
 def test_rl008_metric_name_violations(bad_findings):
     hits = _rules_for(bad_findings, "repro/match/obs_names.py")
     assert all(rule == "RL008" for rule, _ in hits)

@@ -6,6 +6,8 @@ import pytest
 
 from repro.core.clogsgrow import mine_closed
 from repro.core.pattern import Pattern
+from repro.db import columns
+from repro.db.columns import ITEMSIZE
 from repro.match import store as store_module
 from repro.match.store import FORMAT_VERSION, MAGIC, PatternStore, load_patterns
 from repro.stream.miner import StreamMiner
@@ -67,21 +69,17 @@ class TestZeroCopyOpen:
 
 
 class TestFallbacks:
-    def test_auto_falls_back_when_mmap_module_missing(self, store_file, monkeypatch):
-        monkeypatch.setattr(store_module, "_mmap", None)
+    def test_auto_falls_back_when_mmap_module_missing(self, store_file, no_mmap):
         opened = PatternStore.open(store_file)
         assert not opened.is_zero_copy
         assert opened == PatternStore.load(store_file)
 
-    def test_strict_mmap_raises_when_module_missing(self, store_file, monkeypatch):
-        monkeypatch.setattr(store_module, "_mmap", None)
+    def test_strict_mmap_raises_when_module_missing(self, store_file, no_mmap):
         with pytest.raises(ValueError, match="mmap module is unavailable"):
             PatternStore.open(store_file, mmap=True)
 
     def test_auto_falls_back_on_platform_reason(self, store_file, monkeypatch):
-        monkeypatch.setattr(
-            store_module, "_zero_copy_unavailable_reason", lambda: "test says no"
-        )
+        monkeypatch.setattr(columns, "zero_copy_unavailable_reason", lambda: "test says no")
         assert not PatternStore.open(store_file).is_zero_copy
         with pytest.raises(ValueError, match="test says no"):
             PatternStore.open(store_file, mmap=True)
@@ -160,15 +158,13 @@ class TestFailurePaths:
             opener(path)
 
     def test_corrupt_event_id_through_both_readers(self, tmp_path):
-        from repro.match.store import _ITEMSIZE
-
         store = PatternStore([(Pattern(("A", "B")), 3), (Pattern(("B",)), 2)], min_sup=1)
         blob = bytearray(store.to_bytes())
         events_offset = (
-            len(blob) - len(store._supports) * _ITEMSIZE - len(store._events) * _ITEMSIZE
+            len(blob) - len(store._supports) * ITEMSIZE - len(store._events) * ITEMSIZE
         )
-        blob[events_offset : events_offset + _ITEMSIZE] = (99).to_bytes(
-            _ITEMSIZE, "little", signed=True
+        blob[events_offset : events_offset + ITEMSIZE] = (99).to_bytes(
+            ITEMSIZE, "little", signed=True
         )
         path = tmp_path / "eid.rps"
         path.write_bytes(bytes(blob))
