@@ -32,9 +32,10 @@ configuration options, mining statistics or support sets.
 
 from __future__ import annotations
 
-import os
 import time
 from collections.abc import Iterable, Iterator, Sequence as PySequence
+from contextlib import nullcontext
+from typing import Any
 
 from repro.core import sup_comp_compressed
 from repro.core.clogsgrow import CloGSgrow, mine_closed
@@ -48,10 +49,9 @@ from repro.db.index import InvertedEventIndex
 from repro.match.automaton import MatchResult, PatternAutomaton
 from repro.match.service import PatternMatcher, SequenceScore, score_database
 from repro.match.store import PatternStore, load_patterns, save_patterns
-from repro.obs import MetricsRegistry, TraceContext, TraceRecorder, activated, current_context
-from repro.obs.aggregate import WorkerTelemetry, absorb_telemetry, capture_telemetry
-from repro.serve.aio import PatternServer
-from repro.serve.aio import serve as _serve_daemon
+from repro.obs import MetricsRegistry
+from repro.obs.aggregate import pool_width, pooled_map
+from repro.serve.aio import serve
 from repro.stream.miner import StreamMiner, StreamUpdate
 
 __all__ = [
@@ -116,31 +116,26 @@ def mine(
     return mine_all(database, min_sup, **kwargs)
 
 
-def _mine_one(task) -> tuple[MiningResult, float, WorkerTelemetry | None]:
-    """Process-pool worker: mine one database with its configuration.
+def _mine_one(
+    task: tuple[SequenceDatabase | InvertedEventIndex, int, bool, dict[str, Any]],
+    obs: MetricsRegistry | None,
+) -> tuple[MiningResult, float]:
+    """Mine one database of a :func:`mine_many` batch, in-process or in a pool worker.
 
-    Module-level (not a closure) so it pickles under the ``spawn`` start
-    method; receives everything it needs in one tuple.  Returns the result
-    together with the in-worker mining wall-clock, so batched callers (the
+    Module-level so :func:`~repro.obs.aggregate.pooled_map` can pickle it.
+    Returns the result with the mining wall-clock, so batched callers (the
     experiment harness) can report per-database runtimes without a second
-    timed pass.
-
-    When the task asks for telemetry, the worker mines into its own
-    registry (with a trace recorder, under the caller's trace context) and
-    returns the captured :class:`~repro.obs.aggregate.WorkerTelemetry`
-    third — previously the worker registry simply died with the process
-    and its counters/spans were lost; now the parent absorbs them.
+    timed pass.  Given a registry, the run records into it under one
+    ``mine.worker.seconds`` span per database.
     """
-    database, min_sup, closed, kwargs, telemetry, trace_wire = task
-    if not telemetry:
+    database, min_sup, closed, kwargs = task
+    span = nullcontext() if obs is None else obs.span("mine.worker.seconds")
+    options = kwargs if obs is None else {**kwargs, "obs": obs}
+    with span:
         start = time.perf_counter()
-        result = mine(database, min_sup, closed=closed, **kwargs)
-        return result, time.perf_counter() - start, None
-    obs = MetricsRegistry(recorder=TraceRecorder())
-    start = time.perf_counter()
-    with activated(TraceContext.from_wire(trace_wire)), obs.span("mine.worker.seconds"):
-        result = mine(database, min_sup, closed=closed, obs=obs, **kwargs)
-    return result, time.perf_counter() - start, capture_telemetry(obs)
+        result = mine(database, min_sup, closed=closed, **options)
+        seconds = time.perf_counter() - start
+    return result, seconds
 
 
 def mine_many(
@@ -174,22 +169,21 @@ def mine_many(
         the batch across a process pool with that many workers (``<= 0``
         means one per CPU).  Each worker mines whole databases — instances
         never span sequences of different databases, so sharding at database
-        granularity is exact.  Indexes are rebuilt in the workers, so passing
-        pre-built :class:`InvertedEventIndex` objects with ``n_jobs != 1``
-        only ships the underlying databases.
+        granularity is exact.  Indexes are rebuilt in the workers, so a
+        pre-built :class:`InvertedEventIndex` (disk-backed ones included)
+        ships only a plain copy of its sequences.
     with_timings:
         ``True`` returns ``(result, seconds)`` pairs, where ``seconds`` is
         the mining wall-clock measured around each database's run (inside
         the worker when a pool is used).
     obs:
-        Optional :class:`~repro.obs.MetricsRegistry`.  Serial runs mine
-        straight into it; pooled runs give each worker its own registry
-        (plus a trace recorder, under the caller's ambient trace context)
-        and merge the telemetry back on return
-        (:meth:`~repro.obs.MetricsRegistry.merge` — counters additive,
-        histograms bucket-wise), so the parent registry's ``mine.*``
-        counters total the same whether the batch ran in one process or
-        eight.
+        Optional :class:`~repro.obs.MetricsRegistry`.  Each database mines
+        into it under one ``mine.worker.seconds`` span; pooled runs give
+        each worker its own registry (plus a trace recorder, under the
+        caller's ambient trace context) and merge the telemetry back on
+        return (:func:`~repro.obs.aggregate.pooled_map`), so the parent
+        registry holds the same instruments and counts whether the batch
+        ran in one process or eight.
     kwargs:
         Forwarded to the miner configuration (``max_length``,
         ``store_instances``, ``constraint``, ...).
@@ -211,42 +205,26 @@ def mine_many(
             raise ValueError(
                 f"got {len(thresholds)} thresholds for {len(databases)} databases"
             )
-    if n_jobs is None or n_jobs == 1 or len(databases) <= 1:
-        # Serial runs mine straight into the caller's registry — no
-        # telemetry envelope needed, the miner records as it goes.
-        serial_kwargs = kwargs if obs is None else {**kwargs, "obs": obs}
-        timed = [
-            _mine_one((db, threshold, closed, serial_kwargs, False, None))
-            for db, threshold in zip(databases, thresholds, strict=False)
-        ]
-    else:
-        if n_jobs <= 0:
-            n_jobs = os.cpu_count() or 1
-        # Indexes hold no state the workers cannot rebuild; send databases
-        # only, so the payload stays small and pickling never sees index
-        # internals.
-        payload = [
-            db.database if isinstance(db, InvertedEventIndex) else db for db in databases
-        ]
-        # A live registry holds locks and cannot cross the pool boundary;
-        # workers build their own and ship the telemetry home instead.
-        telemetry = obs is not None and obs.enabled
-        context = current_context() if telemetry else None
-        trace_wire = context.to_wire() if context is not None else None
-        tasks = [
-            (db, threshold, closed, kwargs, telemetry, trace_wire)
-            for db, threshold in zip(payload, thresholds, strict=False)
-        ]
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(n_jobs, len(tasks))) as pool:
-            timed = list(pool.map(_mine_one, tasks))
-        if obs is not None:
-            for _, _, worker_telemetry in timed:
-                absorb_telemetry(obs, worker_telemetry)
+    width = pool_width(n_jobs, len(databases))
+    if width > 1:
+        # Workers rebuild their indexes: ship plain sequences, never an
+        # index or a disk-backed database bound to an open store.
+        databases = [_plain_database(db) for db in databases]
+    tasks = [
+        (db, threshold, closed, kwargs)
+        for db, threshold in zip(databases, thresholds, strict=True)
+    ]
+    timed = pooled_map(_mine_one, tasks, n_jobs=width, obs=obs)
     if with_timings:
-        return [(result, seconds) for result, seconds, _ in timed]
-    return [result for result, _, _ in timed]
+        return timed
+    return [result for result, _ in timed]
+
+
+def _plain_database(database: SequenceDatabase | InvertedEventIndex) -> SequenceDatabase:
+    """A picklable copy of ``database``'s sequences (the index's, for an index)."""
+    if isinstance(database, InvertedEventIndex):
+        database = database.database
+    return SequenceDatabase(database.sequences, name=database.name)
 
 
 def match(
@@ -428,82 +406,3 @@ def mine_stream(
             miner.close()
 
     return _updates()
-
-
-def serve(
-    store_path,
-    *,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    uds=None,
-    stores=None,
-    batch_window_ms: float = 1.0,
-    cache_size: int = 1024,
-    constraint: GapConstraint | None = None,
-    mmap: bool | str = "auto",
-    auto_reload: bool = False,
-    block: bool = True,
-    obs: MetricsRegistry | None = None,
-    trace_out=None,
-    slow_ms: float | None = None,
-) -> PatternServer:
-    """Serve saved pattern stores over TCP / UDS (match / score / rank / top-k).
-
-    Starts a :class:`~repro.serve.aio.PatternServer` — the long-running
-    asyncio scoring daemon — over ``store_path``.  The store is loaded once
-    (zero-copy over a shared read-only mapping where the platform allows,
-    per ``mmap``), compiled into the shared automaton once, and then served
-    over a newline-delimited JSON protocol any language can speak; a
-    ``reload`` request (or ``auto_reload=True``) swaps in a republished
-    store gracefully, reusing the compiled automaton when only supports
-    changed.  Pass ``uds`` to listen on a unix-domain socket next to TCP,
-    and ``stores`` (a ``{name: path}`` mapping) to serve extra namespaces
-    — independently reloadable store slots selected per request with
-    ``{"ns": ...}`` (clients: ``ServeClient(..., ns=...)``); requests
-    without a namespace go to the default slot, which behaves exactly like
-    a single-store daemon.  ``score``/``match`` requests arriving within
-    ``batch_window_ms`` milliseconds share one automaton sweep, and pure
-    query responses are cached (up to ``cache_size`` entries) keyed on the
-    store generation, so a republish invalidates by construction.
-    ``block=True`` (default) serves on the calling thread until shut down;
-    ``block=False`` serves on a background thread and returns the running
-    server (read its ``address`` for the bound port).  Pass an ``obs``
-    :class:`~repro.obs.MetricsRegistry` to collect per-operation and
-    per-namespace request counts, latency histograms, batch-size and
-    cache hit/miss counters (exposed live through the ``stats`` protocol
-    op); by default the server builds its own enabled registry.  When that
-    registry carries a trace recorder, ``trace_out`` appends every
-    completed span to a JSON-lines journal and ``slow_ms`` logs requests
-    slower than the threshold with their trace ids (see
-    :class:`~repro.serve.aio.PatternServer`).
-
-    Example
-    -------
-    >>> import os, tempfile
-    >>> from repro import SequenceDatabase, mine_closed, save_patterns, serve
-    >>> from repro.serve import ServeClient
-    >>> db = SequenceDatabase.from_strings(["AABCDABB", "ABCD"])
-    >>> path = os.path.join(tempfile.mkdtemp(), "patterns.rps")
-    >>> _ = save_patterns(mine_closed(db, 2), path)
-    >>> server = serve(path, block=False)        # daemon thread, ephemeral port
-    >>> with ServeClient(*server.address) as client:
-    ...     client.ping()["patterns"]
-    3
-    >>> server.close()
-    """
-    return _serve_daemon(
-        store_path,
-        host=host,
-        port=port,
-        uds=uds,
-        stores=stores,
-        batch_window_ms=batch_window_ms,
-        cache_size=cache_size,
-        constraint=constraint,
-        mmap=mmap,
-        auto_reload=auto_reload,
-        block=block,
-        obs=obs,
-        trace_out=trace_out,
-        slow_ms=slow_ms,
-    )

@@ -41,13 +41,9 @@ reproducing the paper's greedy non-overlapping instance semantics *exactly*
 ``engine="auto"`` (the default) picks the token sweep whenever it is exact
 (no gap constraint, no instance reporting) and the trie DFS otherwise.
 
-Compiled automata also serialise: :meth:`PatternAutomaton.to_tables` dumps
-the trie transitions, terminal slots and sweep dispatch as plain lists and
-ints keyed on dense alphabet ids, and :meth:`PatternAutomaton.from_tables`
-rebuilds a ready-to-run automaton from them without re-validating or
-re-compiling — the payload a parent process ships to its match workers (and
-the serving daemon to its peers) so every worker starts matching
-immediately instead of recompiling the same trie per process.
+A compiled automaton is plain Python data, so it pickles as is: match
+workers receive the parent's automaton and unpickle it instead of
+recompiling the same trie per process.
 """
 
 from __future__ import annotations
@@ -73,12 +69,6 @@ from repro.db.sequence import Sequence, as_sequence
 #: slots are fed from an inexhaustible supply (every occurrence of a pattern's
 #: first event starts a new partial instance).
 _SOURCE = -1
-
-#: ``format`` field of serialised automaton tables.
-TABLES_FORMAT = "repro.match.automaton-tables"
-
-#: Version of the serialised-table layout (bump on any change).
-TABLES_VERSION = 1
 
 #: Anything :func:`repro.core.pattern.as_pattern` accepts.
 PatternLike = Pattern | str | PySequence[Any]
@@ -302,77 +292,6 @@ class PatternAutomaton:
         self._dispatch = dispatch
         self._slot_count = total
         self._final_slots = finals
-
-    # ------------------------------------------------------------------
-    # Serialisation: ship compiled tables, not patterns
-    # ------------------------------------------------------------------
-    def to_tables(self) -> dict[str, Any]:
-        """The compiled automaton as plain, shippable tables.
-
-        Everything :meth:`match` needs — patterns, the dense alphabet, the
-        prefix-trie transitions, terminal slots, and the token-sweep
-        dispatch — flattened to lists and ints keyed on alphabet ids.  The
-        result pickles compactly for process pools and JSON-serialises
-        whenever the pattern events do (always true for store-backed
-        pattern sets, which are restricted to str/int events); feed it to
-        :meth:`from_tables` to get a ready-to-run automaton back without
-        recompiling.
-        """
-        alphabet: list[object] = [None] * len(self._aid_of)
-        for event, aid in self._aid_of.items():
-            alphabet[aid] = event
-        aid_of = self._aid_of
-        return {
-            "format": TABLES_FORMAT,
-            "version": TABLES_VERSION,
-            "alphabet": alphabet,
-            "patterns": [list(p.events) for p in self._patterns],
-            "children": [
-                [[aid, child] for aid, child in children.items()]
-                for children in self._children
-            ],
-            "terminal": list(self._terminal),
-            "dispatch": [
-                [aid_of[event], [list(pair) for pair in pairs]]
-                for event, pairs in self._dispatch.items()
-            ],
-            "slot_count": self._slot_count,
-            "final_slots": list(self._final_slots),
-        }
-
-    @classmethod
-    def from_tables(cls, tables: dict[str, Any]) -> PatternAutomaton:
-        """Rebuild a compiled automaton from :meth:`to_tables` output.
-
-        The tables are trusted (they came out of a compiled automaton), so
-        no duplicate checks, trie insertion or dispatch construction run —
-        the rebuild is a flat copy into the runtime layout, which is what
-        makes shipping tables to N workers cheaper than letting each worker
-        recompile the same pattern set.
-        """
-        if not isinstance(tables, dict) or tables.get("format") != TABLES_FORMAT:
-            raise ValueError(
-                "not an automaton-tables payload (expected a dict with "
-                f"format={TABLES_FORMAT!r})"
-            )
-        if tables.get("version") != TABLES_VERSION:
-            raise ValueError(
-                f"unsupported automaton-tables version {tables.get('version')!r} "
-                f"(this build reads version {TABLES_VERSION})"
-            )
-        self = cls.__new__(cls)
-        alphabet = list(tables["alphabet"])
-        self._patterns = [Pattern(tuple(events)) for events in tables["patterns"]]
-        self._aid_of = {event: aid for aid, event in enumerate(alphabet)}
-        self._children = [dict(pairs) for pairs in tables["children"]]
-        self._terminal = list(tables["terminal"])
-        self._dispatch = {
-            alphabet[aid]: [tuple(pair) for pair in pairs]
-            for aid, pairs in tables["dispatch"]
-        }
-        self._slot_count = tables["slot_count"]
-        self._final_slots = list(tables["final_slots"])
-        return self
 
     # ------------------------------------------------------------------
     # Matching

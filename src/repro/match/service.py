@@ -11,10 +11,11 @@ trace realises most of the expected patterns, an anomalous one misses many.
 * :meth:`~PatternMatcher.score` turns one sequence into a
   :class:`SequenceScore` — per-pattern supports, coverage (fraction of
   expected patterns present) and the complementary anomaly score;
-* :meth:`~PatternMatcher.match_many` fans a batch of sequences out over a
-  process pool with the same sharding idiom as
-  :func:`repro.api.mine_many` — sequences never share instances, so chunking
-  at sequence granularity is exact;
+* :meth:`~PatternMatcher.score_many` (alias ``match_many``) cuts a batch
+  into contiguous chunks and scores them through the fan-out
+  :func:`repro.api.mine_many` uses, :func:`~repro.obs.aggregate.pooled_map`
+  — sequences never share instances, so chunking at sequence granularity
+  is exact, and pool workers receive the compiled automaton pickled;
 * :meth:`~PatternMatcher.top_patterns` / :meth:`~PatternMatcher.rank_sequences`
   answer the two retrieval directions (which patterns dominate this trace;
   which traces look least like the mined behaviour).
@@ -22,7 +23,6 @@ trace realises most of the expected patterns, an anomalous one misses many.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence as PySequence
 from typing import Any
@@ -34,14 +34,8 @@ from repro.db.database import SequenceDatabase
 from repro.db.sequence import Sequence as DbSequence, as_sequence
 from repro.match.automaton import MatchQuery, MatchResult, PatternAutomaton
 from repro.match.store import PatternStore
-from repro.obs import (
-    MetricsRegistry,
-    TraceContext,
-    TraceRecorder,
-    activated,
-    current_context,
-)
-from repro.obs.aggregate import WorkerTelemetry, absorb_telemetry, capture_telemetry
+from repro.obs import MetricsRegistry
+from repro.obs.aggregate import pool_width, pooled_map
 
 #: The shared no-op registry matchers fall back to: one disabled registry
 #: instead of one per matcher, so the default path costs a single attribute
@@ -189,8 +183,11 @@ class PatternMatcher:
         ``n_jobs=None`` (or ``1``) scores in-process with one shared match
         over the whole batch; any other value splits the batch into
         contiguous chunks across that many workers (``<= 0`` means one per
-        CPU).  Instances never span sequences, so per-sequence scores are
-        identical either way; results come back in input order.
+        CPU), each matching its chunk in one
+        :func:`~repro.obs.aggregate.pooled_map` task.  Instances never span
+        sequences, so per-sequence scores are identical either way; results
+        come back in input order, and each chunk records one
+        ``match.match.seconds`` span into :attr:`obs`.
 
         A plain string or a single :class:`~repro.db.sequence.Sequence` is
         treated as a one-sequence batch (matching :meth:`match`'s coercion),
@@ -199,33 +196,14 @@ class PatternMatcher:
         if isinstance(sequences, (str, DbSequence)):
             sequences = [sequences]
         sequences = [as_sequence(seq) for seq in sequences]
-        if n_jobs is None or n_jobs == 1 or len(sequences) <= 1:
-            result = self.match(SequenceDatabase(sequences))
-            return [score_from_match(result, i) for i in range(1, len(sequences) + 1)]
-        if n_jobs <= 0:
-            n_jobs = os.cpu_count() or 1
-        n_jobs = min(n_jobs, len(sequences))
-        chunk_size = -(-len(sequences) // n_jobs)
-        payload = self.automaton.to_tables()
-        # Workers mirror the parent's telemetry setup: when this matcher
-        # records, each worker runs its own registry (+ recorder, under the
-        # caller's trace context) and ships the telemetry home with its
-        # scores — absorbed below, so worker match spans/counters survive
-        # the pool (the aggregation seam of repro.obs.aggregate).
-        telemetry = self.obs.enabled
-        context = current_context() if telemetry else None
-        trace_wire = context.to_wire() if context is not None else None
-        tasks = [
-            (payload, self.constraint, sequences[k : k + chunk_size], telemetry, trace_wire)
-            for k in range(0, len(sequences), chunk_size)
-        ]
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-            chunked = list(pool.map(_score_chunk, tasks))
-        for _, worker_telemetry in chunked:
-            absorb_telemetry(self.obs, worker_telemetry)
-        return [score for chunk, _ in chunked for score in chunk]
+        # One contiguous chunk per worker; in-process, the whole (possibly
+        # empty) batch is one chunk.
+        width = pool_width(n_jobs, len(sequences))
+        size = max(1, -(-len(sequences) // width))
+        chunks = [sequences[k : k + size] for k in range(0, len(sequences), size)]
+        tasks = [(self.automaton, self.constraint, chunk) for chunk in chunks or [sequences]]
+        scored = pooled_map(_score_chunk, tasks, n_jobs=width, obs=self.obs)
+        return [score for chunk_scores in scored for score in chunk_scores]
 
     # Batch scoring under its workload name; same contract as score_many.
     match_many = score_many
@@ -285,40 +263,19 @@ class PatternMatcher:
 
 
 def _score_chunk(
-    task: tuple[
-        dict[str, Any],
-        GapConstraint | None,
-        list[DbSequence],
-        bool,
-        dict[str, str] | None,
-    ],
-) -> tuple[list[SequenceScore], WorkerTelemetry | None]:
-    """Process-pool worker: score one contiguous chunk of sequences.
+    task: tuple[PatternAutomaton, GapConstraint | None, list[DbSequence]],
+    obs: MetricsRegistry | None,
+) -> list[SequenceScore]:
+    """Score one contiguous chunk of a :meth:`PatternMatcher.score_many` batch.
 
-    Module-level (not a closure) so it pickles under the ``spawn`` start
-    method; receives the parent's compiled automaton tables
-    (:meth:`PatternAutomaton.to_tables`) so every worker starts matching
-    immediately instead of recompiling the same trie per process.
-
-    When the parent scores with telemetry on, the worker runs its own
-    registry and recorder under the caller's trace context and returns the
-    captured :class:`~repro.obs.aggregate.WorkerTelemetry` beside the
-    scores, so the match span and counters stitch into the parent's trace
-    instead of dying with the process.
+    Module-level so :func:`~repro.obs.aggregate.pooled_map` can pickle it;
+    a pool worker unpickles the parent's compiled automaton instead of
+    recompiling the trie.
     """
-    tables, constraint, sequences, telemetry, trace_wire = task
-    obs = (
-        MetricsRegistry(recorder=TraceRecorder())
-        if telemetry
-        else MetricsRegistry(enabled=False)
-    )
-    matcher = PatternMatcher(
-        PatternAutomaton.from_tables(tables), constraint=constraint, obs=obs
-    )
-    with activated(TraceContext.from_wire(trace_wire)):
-        result = matcher.match(SequenceDatabase(sequences))
-    scores = [score_from_match(result, i) for i in range(1, len(sequences) + 1)]
-    return scores, capture_telemetry(obs) if telemetry else None
+    automaton, constraint, sequences = task
+    matcher = PatternMatcher(automaton, constraint=constraint, obs=obs)
+    result = matcher.match(SequenceDatabase(sequences))
+    return [score_from_match(result, i) for i in range(1, len(sequences) + 1)]
 
 
 def score_database(

@@ -13,8 +13,9 @@ submodules and surface their primary types alongside:
 * :mod:`repro.obs.context` — :class:`TraceContext` propagation
   (contextvars in-process, wire dicts across the serve protocol and the
   process pools);
-* :mod:`repro.obs.aggregate` — :class:`WorkerTelemetry` envelopes and the
-  capture/absorb/merge helpers pool code uses;
+* :mod:`repro.obs.aggregate` — the one process-pool fan-out
+  (``pooled_map``), its :class:`WorkerTelemetry` envelopes and the
+  capture/absorb/merge helpers;
 * :mod:`repro.obs.export` — Prometheus text exposition and the JSON-lines
   span journal.
 """

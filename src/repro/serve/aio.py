@@ -425,7 +425,24 @@ def serve(
     slow_ms: float | None = None,
     block: bool = True,
 ) -> PatternServer:
-    """Start a pattern-serving daemon over saved stores.
+    """Serve saved pattern stores over TCP / UDS (match / score / rank / top-k).
+
+    Starts a :class:`PatternServer` — the long-running asyncio scoring
+    daemon — over ``store_path``.  The store is loaded once (zero-copy over
+    a shared read-only mapping where the platform allows, per ``mmap``),
+    compiled into the shared automaton once, and then served over a
+    newline-delimited JSON protocol any language can speak; a ``reload``
+    request (or ``auto_reload=True``) swaps in a republished store
+    gracefully, reusing the compiled automaton when only supports changed.
+    Pass ``uds`` to listen on a unix-domain socket next to TCP, and
+    ``stores`` (a ``{name: path}`` mapping) to serve extra namespaces —
+    independently reloadable store slots selected per request with
+    ``{"ns": ...}`` (clients: ``ServeClient(..., ns=...)``); requests
+    without a namespace go to the default slot, which behaves exactly like
+    a single-store daemon.  ``score``/``match`` requests arriving within
+    ``batch_window_ms`` milliseconds share one automaton sweep, and pure
+    query responses are cached (up to ``cache_size`` entries) keyed on the
+    store generation, so a republish invalidates by construction.
 
     ``block=True`` (default) serves on the calling thread until
     :meth:`PatternServer.shutdown` (or a ``shutdown`` request) stops it,
@@ -433,6 +450,28 @@ def serve(
     background thread and returns the running :class:`PatternServer`
     immediately — read :attr:`PatternServer.address` for the bound port
     (and :attr:`PatternServer.uds_path` for the socket path, if any).
+
+    Pass an ``obs`` :class:`~repro.obs.MetricsRegistry` to collect
+    per-operation and per-namespace request counts, latency histograms,
+    batch-size and cache hit/miss counters (exposed live through the
+    ``stats`` protocol op); by default the server builds its own enabled
+    registry.  When that registry carries a trace recorder, ``trace_out``
+    appends every completed span to a JSON-lines journal and ``slow_ms``
+    logs requests slower than the threshold with their trace ids.
+
+    Example
+    -------
+    >>> import os, tempfile
+    >>> from repro import SequenceDatabase, mine_closed, save_patterns, serve
+    >>> from repro.serve import ServeClient
+    >>> db = SequenceDatabase.from_strings(["AABCDABB", "ABCD"])
+    >>> path = os.path.join(tempfile.mkdtemp(), "patterns.rps")
+    >>> _ = save_patterns(mine_closed(db, 2), path)
+    >>> server = serve(path, block=False)        # daemon thread, ephemeral port
+    >>> with ServeClient(*server.address) as client:
+    ...     client.ping()["patterns"]
+    3
+    >>> server.close()
     """
     server = PatternServer(
         store_path,

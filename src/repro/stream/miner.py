@@ -18,7 +18,9 @@ properties of repetitive support:
   frequent patterns at that local threshold yields a candidate set that
   provably contains every globally frequent pattern.
 
-A refresh therefore (1) re-mines dirty shards only, (2) merges cached
+A refresh therefore (1) re-mines dirty shards only, in one
+:func:`repro.api.mine_many` call (in-process, or across ``n_jobs`` pool
+workers through the same fan-out as batch mining), (2) merges cached
 per-shard supports of the candidate union (filling gaps with exact
 ``supComp`` calls that are cached while a shard stays clean, and skipped
 where the shard's mining threshold or the key's prefix and suffix already
@@ -60,7 +62,6 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.match.store import PatternStore
 
-from repro.core.gsgrow import GSgrow
 from repro.core.pattern import Pattern
 from repro.core.results import MinedPattern, MiningResult
 from repro.core.support import repetitive_support
@@ -99,7 +100,6 @@ class _Shard:
         "mined_threshold",
         "db_backend",
         "db_dir",
-        "spill_budget",
         "_dir_finalizer",
         "__weakref__",
     )
@@ -111,11 +111,9 @@ class _Shard:
         *,
         db_backend: str | None = None,
         db_dir: str | None = None,
-        spill_budget: int | None = None,
     ):
         self.db_backend = db_backend
         self.db_dir = db_dir
-        self.spill_budget = spill_budget
         self._dir_finalizer: weakref.finalize | None = None
         self.stream = self._new_stream(sequences)
         self.handles: list[int] = list(handles)
@@ -163,29 +161,6 @@ class _Shard:
             return cached
         assert self.mined_threshold is not None, "bounds need a mined shard"
         return self.mined_threshold - 1
-
-    def remine(
-        self,
-        threshold: int,
-        max_length: int | None,
-        stats: StreamStats,
-        obs: MetricsRegistry,
-    ) -> None:
-        """Recompute the locally frequent table at ``threshold``."""
-        with obs.span("stream.remine.seconds"):
-            miner = GSgrow(
-                threshold,
-                max_length=max_length,
-                obs=obs,
-                spill_budget=self.spill_budget,
-                spill_dir=self.db_dir,
-            )
-            result = miner.mine(self.stream.index)
-        self.table = {mp.pattern.events: mp.support for mp in result}
-        self.supports = dict(self.table)
-        self.mined_threshold = threshold
-        self.dirty = False
-        stats.shards_remined += 1
 
     def drop_oldest(self, count: int) -> None:
         """Evict the ``count`` oldest sequences (rebuilds this shard's stream)."""
@@ -334,13 +309,12 @@ class StreamMiner:
         :class:`GSgrow` runs: over-budget DFS frontier sets are spilled to
         disk (:mod:`repro.core.spill`).  Results are identical either way.
     n_jobs:
-        ``None`` or ``1`` (default) re-mines dirty shards serially
-        in-process.  Any other value fans a refresh's dirty shards out
-        over a process pool of that many workers (``<= 0`` means one per
-        CPU) via :func:`repro.api.mine_many` — shards are independent
-        databases, so the resulting tables are byte-identical; worker
-        registries merge back into ``obs``, so ``mine.*`` counters total
-        the same either way.
+        Pool width of the one :func:`repro.api.mine_many` call that
+        re-mines a refresh's dirty shards: ``None`` or ``1`` (default)
+        in-process, any other value that many workers (``<= 0`` means one
+        per CPU).  Shards are independent databases, so the resulting
+        tables are byte-identical; worker registries merge back into
+        ``obs``, so its instruments and counts are the same either way.
     store_path:
         Optional path of a :class:`~repro.match.store.PatternStore` file to
         (re)write after every :meth:`refresh` — the stream-to-serving bridge.
@@ -352,9 +326,10 @@ class StreamMiner:
         Optional :class:`~repro.obs.MetricsRegistry` to record into.  The
         miner mirrors its cumulative :class:`StreamStats` counters into
         ``stream.*`` after every refresh, times refresh phases into
-        ``stream.{refresh,remine,merge,publish}.seconds`` histograms, and
-        hands the registry down to the per-shard :class:`GSgrow` runs so
-        ``mine.*`` counters aggregate across shards.  Defaults to a private
+        ``stream.{refresh,remine,merge,publish}.seconds`` histograms (at most
+        one observation each per refresh), and hands the registry down to
+        the per-shard :class:`GSgrow` runs (one ``mine.worker.seconds`` span
+        each) so ``mine.*`` counters aggregate across shards.  Defaults to a private
         enabled registry.
 
     Thread safety: the public mutators (:meth:`append`, :meth:`extend`,
@@ -659,11 +634,7 @@ class StreamMiner:
     def _open_shard(self) -> _Shard:
         if not self._shards or len(self._shards[-1]) >= self.shard_size:
             self._shards.append(
-                _Shard(
-                    db_backend=self.db_backend,
-                    db_dir=self.db_dir,
-                    spill_budget=self.spill_budget,
-                )
+                _Shard(db_backend=self.db_backend, db_dir=self.db_dir)
             )
         return self._shards[-1]
 
@@ -753,11 +724,8 @@ class StreamMiner:
             for shard in self._shards
             if shard.dirty or shard.mined_threshold is None or shard.mined_threshold > required
         ]
-        if len(stale) > 1 and self.n_jobs is not None and self.n_jobs != 1:
-            self._remine_pooled(stale, mine_at, cap)
-        else:
-            for shard in stale:
-                shard.remine(mine_at, cap, self.stats, self.obs)
+        if stale:
+            self._remine(stale, mine_at, cap)
         candidates: set = set()
         for shard in self._shards:
             candidates.update(shard.table)
@@ -794,30 +762,26 @@ class StreamMiner:
         return merged
 
     # reprolint: holds-lock
-    def _remine_pooled(self, shards: list[_Shard], mine_at: int, cap: int | None) -> None:
-        """Re-mine several stale shards over a process pool (caller holds self._lock).
+    def _remine(self, shards: list[_Shard], mine_at: int, cap: int | None) -> None:
+        """Re-mine stale shards' local tables at ``mine_at`` (caller holds self._lock).
 
-        Shards are independent databases and :class:`GSgrow` is
-        deterministic, so fanning the batch through
-        :func:`repro.api.mine_many` produces tables byte-identical to
-        serial :meth:`_Shard.remine` calls; worker registries (with the
-        ``mine.*`` counters of each run) merge back into :attr:`obs` on
-        return, so the telemetry totals match the serial path too.
+        One :func:`repro.api.mine_many` call over the shards' live indexes,
+        in-process or across ``n_jobs`` workers: shards are independent
+        databases and :class:`GSgrow` is deterministic, so the tables and
+        the ``mine.*`` telemetry landing in :attr:`obs` are the same either
+        way.
         """
         # Local import: repro.api imports this module (the one-way layering
-        # is api -> stream; the pool fan-out reuses it without a cycle).
+        # is api -> stream; the re-mine reuses mine_many without a cycle).
         from repro.api import mine_many
 
-        databases = [
-            SequenceDatabase(shard.stream.database.sequences) for shard in shards
-        ]
         with self.obs.span("stream.remine.seconds"):
             results = mine_many(
-                databases,
+                [shard.stream.index for shard in shards],
                 mine_at,
                 closed=False,
                 n_jobs=self.n_jobs,
-                obs=self.obs if self.obs.enabled else None,
+                obs=self.obs,
                 max_length=cap,
                 spill_budget=self.spill_budget,
                 spill_dir=self.db_dir,
@@ -827,7 +791,7 @@ class StreamMiner:
             shard.supports = dict(shard.table)
             shard.mined_threshold = mine_at
             shard.dirty = False
-            self.stats.shards_remined += 1
+        self.stats.shards_remined += len(shards)
 
     def _closed_filter(self, frequent: dict[PatternKey, int]) -> dict[PatternKey, int]:
         """Keep the closed patterns of an exhaustive frequent table.

@@ -7,6 +7,9 @@ suite:
 * ``table2`` — Table II: ``S1 = ABCABCA``, ``S2 = AABBCCC``.
 * ``table3`` — Table III (the running example): ``S1 = ABCACBDDB``,
   ``S2 = ACDBACADD``.
+
+Plus ``no_mmap`` (a host without :mod:`mmap`) and ``instrument_counts`` (a
+registry's instruments reduced to what serial and pooled runs must share).
 """
 
 from __future__ import annotations
@@ -51,3 +54,22 @@ def no_mmap(monkeypatch):
     from repro.db import columns
 
     monkeypatch.setattr(columns, "_mmap", None)
+
+
+@pytest.fixture
+def instrument_counts():
+    """Reduce a registry to its instrument names, counter values and histogram counts.
+
+    Serial and pooled runs of one call must agree on all three; timings
+    (histogram sums and buckets) and gauge values may differ.
+    """
+
+    def counts(obs):
+        state = obs.dump()
+        return {
+            "counters": state["counters"],
+            "gauges": sorted(state["gauges"]),
+            "histograms": {name: hist["count"] for name, hist in state["histograms"].items()},
+        }
+
+    return counts

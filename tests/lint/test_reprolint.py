@@ -15,6 +15,8 @@ from pathlib import Path
 import pytest
 
 from tools.reprolint import check_paths, main
+from tools.reprolint.context import build_context
+from tools.reprolint.rules import ProcessPoolSeam
 
 FIXTURES = Path(__file__).parent / "fixtures"
 BAD = FIXTURES / "bad"
@@ -126,6 +128,26 @@ def test_rl008_allows_literals_and_reasoned_suppression():
     assert _findings(GOOD / "repro" / "match" / "obs_names.py") == []
 
 
+def test_rl009_process_pools_outside_the_fan_out(bad_findings):
+    hits = _rules_for(bad_findings, "repro/experiments/pool.py")
+    # multiprocessing, multiprocessing.pool, the executor import, the attribute
+    assert hits == [("RL009", 5), ("RL009", 6), ("RL009", 7), ("RL009", 12)]
+
+
+def test_rl009_allows_the_fan_out_module_and_thread_pools():
+    rule = ProcessPoolSeam()
+    fan_out = GOOD / "repro" / "obs" / "aggregate.py"
+    assert not rule.applies_to(build_context(fan_out, "repro/obs/aggregate.py"))
+    # The exemption is the module's path: the same imports anywhere else fire.
+    elsewhere = build_context(fan_out, "repro/obs/pool.py")
+    assert [finding.line for finding in rule.check(elsewhere)] == [5, 6]
+    threads = build_context(
+        GOOD / "repro" / "experiments" / "threads.py", "repro/experiments/threads.py"
+    )
+    assert rule.applies_to(threads)
+    assert list(rule.check(threads)) == []
+
+
 def test_rl000_directive_errors(bad_findings):
     hits = _rules_for(bad_findings, "repro/serve/protocol.py")
     # The reasonless disable is RL000 and does NOT suppress the RL002 it names;
@@ -146,6 +168,7 @@ def test_every_rule_has_positive_coverage(bad_findings):
         "RL006",
         "RL007",
         "RL008",
+        "RL009",
         "RL000",
     } <= fired
 
@@ -202,5 +225,6 @@ def test_cli_list_rules(capsys):
         "RL006",
         "RL007",
         "RL008",
+        "RL009",
     ):
         assert rule_id in out

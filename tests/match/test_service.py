@@ -82,6 +82,27 @@ class TestScoring:
         assert len(score_database(PATTERNS, "AABCDABB")) == 1
 
 
+class TestScoreManyTelemetry:
+    """Pooled scoring brings each worker's match span home, in the caller's trace."""
+
+    def test_pooled_match_spans_stitch_into_the_callers_trace(self):
+        from repro.obs import MetricsRegistry, TraceRecorder, activated, root_context
+
+        obs = MetricsRegistry(recorder=TraceRecorder())
+        matcher = PatternMatcher(PATTERNS, obs=obs)
+        sequences = ["AABCDABB", "ABCD", "XYZ", "ABBABB", "CDCDCD"]
+        ambient = root_context()
+        with activated(ambient):
+            scores = matcher.score_many(sequences, n_jobs=2)
+        assert scores == PatternMatcher(PATTERNS).score_many(sequences)
+        chunks = 2  # five sequences over two workers: chunks of three and two
+        assert obs.dump()["histograms"]["match.match.seconds"]["count"] == chunks
+        spans = [s for s in obs.recorder.spans() if s.name == "match.match.seconds"]
+        assert len(spans) == chunks
+        assert {s.trace_id for s in spans} == {ambient.trace_id}
+        assert {s.parent_id for s in spans} == {ambient.span_id}
+
+
 class TestConstruction:
     def test_from_store_result_automaton_and_raw(self, example11):
         result = mine_closed(example11, 2)

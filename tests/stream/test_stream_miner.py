@@ -176,6 +176,36 @@ class TestPooledRemine:
         assert "stream.remine.seconds" in names
         assert "mine.worker.seconds" in names  # worker spans made it home
 
+    def test_pooled_refresh_leaves_serial_instruments(self, instrument_counts):
+        from repro.obs import MetricsRegistry
+
+        registries = {}
+        for n_jobs in (None, 2):
+            registries[n_jobs] = obs = MetricsRegistry()
+            miner = StreamMiner(4, shard_size=4, max_length=4, n_jobs=n_jobs, obs=obs)
+            for seq in _markov_sequences(0, n=12):
+                miner.append(seq)
+            miner.refresh()
+        serial, pooled = (instrument_counts(registries[n]) for n in (None, 2))
+        assert pooled == serial
+        assert serial["histograms"]["stream.remine.seconds"] == 1  # one per refresh
+        assert serial["histograms"]["mine.worker.seconds"] == 3  # one per shard
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_pooled_disk_shards_match_serial_ram(self, seed, tmp_path):
+        serial = StreamMiner(5, shard_size=4, max_length=4)
+        pooled = StreamMiner(
+            5, shard_size=4, max_length=4, db_backend="disk", db_dir=tmp_path, n_jobs=2
+        )
+        try:
+            for seq in _markov_sequences(seed, n=16):
+                serial.append(seq)
+                pooled.append(seq)
+            assert canon(pooled.refresh().result) == canon(serial.refresh().result)
+            assert pooled.stats.shards_remined == serial.stats.shards_remined
+        finally:
+            pooled.close()
+
     def test_single_stale_shard_stays_serial(self):
         miner = StreamMiner(3, shard_size=64, n_jobs=4)
         for seq in _markov_sequences(1, n=8):

@@ -69,6 +69,24 @@ class TestMineMany:
         sharded = api.mine_many(batch, 2, n_jobs=2)
         assert [r.as_dict() for r in sharded] == [r.as_dict() for r in serial]
 
+    def test_process_pool_over_disk_indexes(self, tmp_path):
+        # A disk-backed index's database is bound to its open store and does
+        # not pickle; the pool must ship plain sequences instead.
+        from repro.stream.database import StreamingSequenceDatabase
+
+        batch = self._batch()
+        streams = [
+            StreamingSequenceDatabase(db, db_backend="disk", db_dir=str(tmp_path / f"db{k}"))
+            for k, db in enumerate(batch)
+        ]
+        try:
+            sharded = api.mine_many([stream.index for stream in streams], 2, n_jobs=2)
+        finally:
+            for stream in streams:
+                stream.index.backend.close()
+        serial = api.mine_many(batch, 2)
+        assert [r.as_dict() for r in sharded] == [r.as_dict() for r in serial]
+
 
 class TestMineManyTelemetry:
     """Pool workers' telemetry must not be lost (the PR-9 regression).
@@ -111,6 +129,18 @@ class TestMineManyTelemetry:
         assert len(workers) == len(self._batch())
         assert {s.trace_id for s in workers} == {ambient.trace_id}
         assert {s.parent_id for s in workers} <= {ambient.span_id}
+
+    def test_pooled_instruments_equal_serial(self, instrument_counts):
+        from repro.obs import MetricsRegistry
+
+        serial_obs = MetricsRegistry()
+        api.mine_many(self._batch(), 2, obs=serial_obs)
+        pooled_obs = MetricsRegistry()
+        api.mine_many(self._batch(), 2, n_jobs=2, obs=pooled_obs)
+        assert instrument_counts(pooled_obs) == instrument_counts(serial_obs)
+        assert instrument_counts(serial_obs)["histograms"]["mine.worker.seconds"] == len(
+            self._batch()
+        )
 
     def test_disabled_registry_adds_no_worker_overhead(self):
         from repro.obs import MetricsRegistry

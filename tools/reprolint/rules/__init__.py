@@ -11,6 +11,7 @@ from tools.reprolint.rules.rl005_wall_clock import NoWallClock
 from tools.reprolint.rules.rl006_obs_guard import ObsGuardDiscipline
 from tools.reprolint.rules.rl007_storage_seam import StorageSeamLayering
 from tools.reprolint.rules.rl008_metric_names import MetricNameDiscipline
+from tools.reprolint.rules.rl009_process_pool import ProcessPoolSeam
 
 ALL_RULES: tuple[Rule, ...] = (
     HotLoopPurity(),
@@ -21,6 +22,7 @@ ALL_RULES: tuple[Rule, ...] = (
     ObsGuardDiscipline(),
     StorageSeamLayering(),
     MetricNameDiscipline(),
+    ProcessPoolSeam(),
 )
 
 __all__ = [
@@ -31,6 +33,7 @@ __all__ = [
     "MetricNameDiscipline",
     "NoWallClock",
     "ObsGuardDiscipline",
+    "ProcessPoolSeam",
     "Rule",
     "SerializationDeterminism",
     "StorageSeamLayering",
