@@ -11,7 +11,8 @@ to the database.
 The class deliberately supports **appends only**; windowed eviction of
 expired sequences is the :class:`~repro.stream.miner.StreamMiner`'s job
 (eviction changes sequence indices, which an in-place index cannot absorb
-cheaply, so the miner rebuilds the affected — small — shard instead).
+cheaply, so the miner rebuilds the affected — small — shard instead, once
+per re-mine however many of its sequences were evicted).
 
 ``rebuilt_index()`` returns a from-scratch index over a snapshot of the same
 data; it is the equivalence oracle the tests check every append schedule

@@ -21,10 +21,7 @@ properties of repetitive support:
 A refresh therefore (1) re-mines dirty shards only, in one
 :func:`repro.api.mine_many` call (in-process, or across ``n_jobs`` pool
 workers through the same fan-out as batch mining), (2) merges cached
-per-shard supports of the candidate union (filling gaps with exact
-``supComp`` calls that are cached while a shard stays clean, and skipped
-where the shard's mining threshold or the key's prefix and suffix already
-bound the sum below ``min_sup``), and (3) applies
+per-shard supports of the candidate union, and (3) applies
 the paper's closedness criterion — a pattern is non-closed iff some
 one-event extension has equal support (Theorem 4), and every such extension
 is itself globally frequent, hence present in the merged table.  Under a
@@ -35,11 +32,31 @@ semantics.  The result is **byte-identical** (as a pattern → support set) to
 running ``mine_closed`` over the equivalent static database — the invariant
 the randomized regression tests enforce.
 
+The merge (2) is incremental.  A clean shard's table holds every pattern
+with local support at least its mining threshold, so a key it has no number
+for has at most ``mined_threshold - 1`` there (the shard's *floor*).  The
+miner keeps, across refreshes, one running total per key: the sum, over the
+shards whose caches hold the key, of that support minus the shard's floor.
+A key's merge bound is then the sum of all floors plus its total, and the
+total changes only where a shard's caches do (a re-mined shard's table comes
+in, an evicted or re-mined shard's caches go out, each gap-fill adds its
+number).  A refresh bounds only the keys whose bound reaches ``min_sup``; a
+key in no shard table never does, since ``k`` floors of at most
+``ceil(min_sup / k) - 1`` sum below ``min_sup``.  Those keys go level by
+level, and each shard's bound is tightened by the key's prefix and suffix
+there (repetitive support never grows under extension).  Gaps are filled with
+exact ``supComp`` calls, cached while a shard stays clean, and only in shards
+whose bound is not 0 for keys whose bounds still sum to ``min_sup``.  The
+frequent keys are then sorted once, by a ``(len, repr)`` key computed once
+per key.
+
 Sliding-window eviction drops the oldest sequences once a ``window`` budget
 (count-based), a ``window_seconds`` budget (time-based, driven by the
 per-sequence timestamps handed to :meth:`StreamMiner.append`), or both are
-exceeded; only the (small) shard straddling the window edge is rebuilt,
-everything else keeps its cached tables.
+exceeded.  A shard that loses all its sequences is dropped whole.  The shard
+straddling the window edge only counts its evicted sequences and turns
+dirty; the next re-mine drops them in one rebuild of that shard, however
+many were evicted.  Everything else keeps its cached tables.
 
 Each refresh can also push the window's pattern set into the read-side
 subsystem: :meth:`StreamUpdate.to_store` wraps the result as a
@@ -84,8 +101,9 @@ class _Shard:
 
     With a ``"disk"`` database backend every shard owns a private segment
     directory (an ephemeral temp dir, created under ``db_dir`` when one is
-    given): shard lifetimes are independent — eviction rebuilds or drops a
-    shard wholesale — so sharing one store would mix live and dead columns.
+    given): shard lifetimes are independent — eviction drops a shard
+    wholesale or `compact` rebuilds it — so sharing one store would mix live
+    and dead columns.
     The directory is removed when the shard is closed, rebuilt or
     garbage-collected.
     """
@@ -94,8 +112,8 @@ class _Shard:
         "stream",
         "handles",
         "offsets",
+        "evicted",
         "dirty",
-        "table",
         "supports",
         "mined_threshold",
         "db_backend",
@@ -116,63 +134,56 @@ class _Shard:
         self.db_dir = db_dir
         self._dir_finalizer: weakref.finalize | None = None
         self.stream = self._new_stream(sequences)
+        #: Handles of the live sequences, oldest first.
         self.handles: list[int] = list(handles)
-        #: handle -> 0-based local offset within this shard, kept in lock-step
-        #: with `handles` so `extend` never pays an O(shard_size) scan.
+        #: handle -> 0-based offset of its sequence in `stream`, kept in
+        #: lock-step with `handles` so `extend` never pays an O(shard_size) scan.
         self.offsets: dict[int, int] = {h: k for k, h in enumerate(self.handles)}
+        #: Leading sequences of `stream` already evicted from the window;
+        #: `compact` drops them in one rebuild.
+        self.evicted = 0
         self.dirty = True
-        #: Locally frequent patterns (key -> local support) at `mined_threshold`.
-        self.table: dict[PatternKey, int] = {}
-        #: Exact local supports of any pattern ever asked about while the
-        #: shard has been clean (superset of `table`).
+        #: Exact local supports: every pattern (up to the mining cap) with
+        #: local support at least `mined_threshold`, plus the gap-fills
+        #: asked for while the shard has been clean.
         self.supports: dict[PatternKey, int] = {}
         self.mined_threshold: int | None = None
 
     def __len__(self) -> int:
-        return len(self.stream)
+        return len(self.stream) - self.evicted
 
-    def add_handle(self, handle: int) -> None:
-        """Register the handle of a freshly appended sequence."""
-        self.offsets[handle] = len(self.handles)
-        self.handles.append(handle)
-
-    def local_support(self, key: PatternKey, stats: StreamStats) -> int:
-        """Exact support of ``key`` in this shard, cached while clean.
-
-        Gap-filling only needs the number, so the query runs on the
-        compressed engine (no landmark rows are materialised).
-        """
-        cached = self.supports.get(key)
-        if cached is None:
-            stats.sup_comp_calls += 1
-            cached = repetitive_support(self.stream.index, Pattern(key))
-            self.supports[key] = cached
-        return cached
-
-    def support_bound(self, key: PatternKey) -> int:
-        """The support of ``key`` here if known, else an upper bound on it.
-
-        A clean shard's table holds every pattern (up to the mining cap)
-        with local support at least ``mined_threshold``, so a key the shard
-        has no number for is below it.
-        """
-        cached = self.supports.get(key)
-        if cached is not None:
-            return cached
+    @property
+    def floor(self) -> int:
+        """Upper bound on the local support of a key missing from `supports`."""
         assert self.mined_threshold is not None, "bounds need a mined shard"
         return self.mined_threshold - 1
 
-    def drop_oldest(self, count: int) -> None:
-        """Evict the ``count`` oldest sequences (rebuilds this shard's stream)."""
-        remaining = self.stream.database.sequences[count:]
+    def add_handle(self, handle: int) -> None:
+        """Register the handle of a freshly appended sequence."""
+        self.offsets[handle] = self.evicted + len(self.handles)
+        self.handles.append(handle)
+
+    def live_sequences(self) -> list:
+        """The shard's sequences that are still in the window, oldest first."""
+        return self.stream.database.sequences[self.evicted :]
+
+    def evict_oldest(self, count: int) -> None:
+        """Evict the ``count`` oldest live sequences; `compact` drops them later."""
+        for handle in self.handles[:count]:
+            del self.offsets[handle]
         del self.handles[:count]
-        self.offsets = {h: k for k, h in enumerate(self.handles)}
+        self.evicted += count
+        self.dirty = True
+
+    def compact(self) -> None:
+        """Drop the evicted sequences, rebuilding the shard's stream once."""
+        if not self.evicted:
+            return
+        remaining = self.live_sequences()
         self.close()
         self.stream = self._new_stream(remaining)
-        self.dirty = True
-        self.table = {}
-        self.supports = {}
-        self.mined_threshold = None
+        self.offsets = {h: k for k, h in enumerate(self.handles)}
+        self.evicted = 0
 
     def close(self) -> None:
         """Release the shard's backend (mappings, journal, temp directories)."""
@@ -327,7 +338,8 @@ class StreamMiner:
         miner mirrors its cumulative :class:`StreamStats` counters into
         ``stream.*`` after every refresh, times refresh phases into
         ``stream.{refresh,remine,merge,publish}.seconds`` histograms (at most
-        one observation each per refresh), and hands the registry down to
+        one observation each per refresh; the merge span holds its gap-fill
+        but not the re-mine, which runs before it), and hands the registry down to
         the per-shard :class:`GSgrow` runs (one ``mine.worker.seconds`` span
         each) so ``mine.*`` counters aggregate across shards.  Defaults to a private
         enabled registry.
@@ -396,6 +408,12 @@ class StreamMiner:
         self._appended_since_refresh = 0
         self._evicted_since_refresh = 0
         self._last_supports: dict[PatternKey, int] = {}
+        #: Per key, the sum over the live shards whose `supports` hold it of
+        #: that support minus the shard's `floor`; zero totals are dropped.
+        #: Adding every shard's floor gives the key's merge bound.
+        self._totals: dict[PatternKey, int] = {}
+        #: The ``(len, repr)`` sort key of every key the last merge kept.
+        self._sort_keys: dict[PatternKey, tuple] = {}
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -483,6 +501,7 @@ class StreamMiner:
         with self._lock, self.obs.span("stream.refresh.seconds"):
             self.stats.refreshes += 1
             remined_before = self.stats.shards_remined
+            self._remine_stale()
             with self.obs.span("stream.merge.seconds"):
                 merged = self._merged_supports()
             if self.closed:
@@ -494,9 +513,7 @@ class StreamMiner:
             result = MiningResult(
                 (
                     MinedPattern(pattern=Pattern(key), support=support)
-                    for key, support in sorted(
-                        kept.items(), key=lambda kv: (len(kv[0]), [repr(e) for e in kv[0]])
-                    )
+                    for key, support in kept.items()
                 ),
                 min_sup=self.min_sup,
                 algorithm=f"StreamMiner({'CloGSgrow' if self.closed else 'GSgrow'})",
@@ -603,6 +620,7 @@ class StreamMiner:
             self._shards.clear()
             self._shard_of.clear()
             self._timestamps.clear()
+            self._totals.clear()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -625,7 +643,7 @@ class StreamMiner:
         with self._lock:
             sequences = []
             for shard in self._shards:
-                sequences.extend(shard.stream.database.sequences)
+                sequences.extend(shard.live_sequences())
             return SequenceDatabase(sequences, name=name)
 
     # ------------------------------------------------------------------
@@ -672,9 +690,10 @@ class StreamMiner:
                 self._timestamps.pop(handle, None)
             if drop == len(oldest):
                 self._shards.pop(0)
+                self._count_shard(oldest, -1)
                 oldest.close()
             else:
-                oldest.drop_oldest(drop)
+                oldest.evict_oldest(drop)
             count -= drop
             self.stats.evictions += drop
             self._evicted_since_refresh += drop
@@ -714,84 +733,138 @@ class StreamMiner:
             return None
         return self.max_length + 1 if self.closed else self.max_length
 
-    def _merged_supports(self) -> dict[PatternKey, int]:
-        """Exact global supports of every globally frequent pattern."""
+    # reprolint: holds-lock
+    def _remine_stale(self) -> None:
+        """Re-mine the shards whose tables are stale (caller holds self._lock).
+
+        A shard is stale when it is dirty, never mined, or mined above the
+        SON bound of the current shard count.  One
+        :func:`repro.api.mine_many` call covers them all, in-process or
+        across ``n_jobs`` workers: shards are independent databases and
+        :class:`GSgrow` is deterministic, so the tables and the ``mine.*``
+        telemetry landing in :attr:`obs` are the same either way.  Each
+        re-mined shard's old caches leave the running totals and its new
+        table enters them.
+        """
         required = self._required_threshold()
-        mine_at = self._mining_threshold()
-        cap = self._shard_mining_cap()
         stale = [
             shard
             for shard in self._shards
             if shard.dirty or shard.mined_threshold is None or shard.mined_threshold > required
         ]
-        if stale:
-            self._remine(stale, mine_at, cap)
-        candidates: set = set()
-        for shard in self._shards:
-            candidates.update(shard.table)
-        merged: dict[PatternKey, int] = {}
-        # Per-shard supports of every merged key.  A key's support in a shard
-        # is bounded by the shard's own bound and by the supports of the
-        # key's prefix and suffix there (repetitive support never grows
-        # under extension).  Shorter keys come first, so those are settled by
-        # a key's turn: a key whose bounds sum below min_sup is infrequent,
-        # and a shard bounding it at 0 needs no gap-filling.
-        per_shard: dict[PatternKey, list[int]] = {}
-        # Sorted so merged's insertion order (and everything downstream:
-        # results, expiry diffs, republished stores) is hash-seed independent.
-        for key in sorted(candidates, key=lambda k: (len(k), [repr(e) for e in k])):
-            bounds = [shard.support_bound(key) for shard in self._shards]
-            if len(key) > 1:
-                prefix, suffix = per_shard.get(key[:-1]), per_shard.get(key[1:])
-                if prefix is None or suffix is None:
-                    continue
-                bounds = [
-                    min(own, before, after)
-                    for own, before, after in zip(bounds, prefix, suffix, strict=True)
-                ]
-            if sum(bounds) < self.min_sup:
-                continue
-            supports = [
-                shard.local_support(key, self.stats) if bound else 0
-                for shard, bound in zip(self._shards, bounds, strict=True)
-            ]
-            total = sum(supports)
-            if total >= self.min_sup:
-                merged[key] = total
-                per_shard[key] = supports
-        return merged
-
-    # reprolint: holds-lock
-    def _remine(self, shards: list[_Shard], mine_at: int, cap: int | None) -> None:
-        """Re-mine stale shards' local tables at ``mine_at`` (caller holds self._lock).
-
-        One :func:`repro.api.mine_many` call over the shards' live indexes,
-        in-process or across ``n_jobs`` workers: shards are independent
-        databases and :class:`GSgrow` is deterministic, so the tables and
-        the ``mine.*`` telemetry landing in :attr:`obs` are the same either
-        way.
-        """
+        if not stale:
+            return
+        mine_at = self._mining_threshold()
+        for shard in stale:
+            shard.compact()
         # Local import: repro.api imports this module (the one-way layering
         # is api -> stream; the re-mine reuses mine_many without a cycle).
         from repro.api import mine_many
 
         with self.obs.span("stream.remine.seconds"):
             results = mine_many(
-                [shard.stream.index for shard in shards],
+                [shard.stream.index for shard in stale],
                 mine_at,
                 closed=False,
                 n_jobs=self.n_jobs,
                 obs=self.obs,
-                max_length=cap,
+                max_length=self._shard_mining_cap(),
                 spill_budget=self.spill_budget,
                 spill_dir=self.db_dir,
             )
-        for shard, result in zip(shards, results, strict=True):
-            shard.table = {mp.pattern.events: mp.support for mp in result}
-            shard.supports = dict(shard.table)
+        for shard, result in zip(stale, results, strict=True):
+            self._count_shard(shard, -1)
+            shard.supports = {mp.pattern.events: mp.support for mp in result}
             shard.mined_threshold = mine_at
             shard.dirty = False
-        self.stats.shards_remined += len(shards)
+            self._count_shard(shard, 1)
+        self.stats.shards_remined += len(stale)
+
+    def _count_shard(self, shard: _Shard, sign: int) -> None:
+        """Add (``sign=1``) or take out (``-1``) a shard's caches in the running totals."""
+        if shard.mined_threshold is None:  # never mined: nothing counted
+            return
+        floor = shard.floor
+        self._shift_totals(
+            (key, sign * (support - floor)) for key, support in shard.supports.items()
+        )
+
+    def _shift_totals(self, deltas: Iterable[tuple[PatternKey, int]]) -> None:
+        """Add each ``(key, delta)`` to the running totals, dropping totals that reach 0."""
+        totals = self._totals
+        for key, delta in deltas:
+            total = totals.get(key, 0) + delta
+            if total:
+                totals[key] = total
+            else:
+                totals.pop(key, None)
+
+    def _gap_fill(self, shard: _Shard, key: PatternKey) -> int:
+        """Exact support of ``key`` in a clean shard, computed once while it stays clean.
+
+        Gap-filling only needs the number, so the query runs on the
+        compressed engine (no landmark rows are materialised).
+        """
+        support = shard.supports.get(key)
+        if support is None:
+            self.stats.sup_comp_calls += 1
+            support = shard.supports[key] = repetitive_support(shard.stream.index, Pattern(key))
+            self._shift_totals(((key, support - shard.floor),))
+        return support
+
+    # reprolint: holds-lock
+    def _merged_supports(self) -> dict[PatternKey, int]:
+        """Exact global supports of every globally frequent pattern, in ``(len, repr)`` order.
+
+        Bounds only the keys whose running total plus the shards' floors
+        reaches ``min_sup`` (see the module docstring), level by level, so a
+        key's prefix and suffix are settled by its turn: a key whose
+        tightened bounds sum below ``min_sup`` is infrequent, and a shard
+        bounding it at 0 needs no gap-filling.  Sorting the frequent keys
+        keeps the table's order (and everything downstream: results, expiry
+        diffs, republished stores) hash-seed independent.
+        """
+        shards = self._shards
+        caches = [shard.supports for shard in shards]
+        floors = [shard.floor for shard in shards]
+        reach = self.min_sup - sum(floors)
+        levels: dict[int, list[PatternKey]] = {}
+        for key, total in self._totals.items():
+            if total >= reach:
+                levels.setdefault(len(key), []).append(key)
+        merged: dict[PatternKey, int] = {}
+        per_shard: dict[PatternKey, list[int]] = {}
+        for length in sorted(levels):
+            for key in levels[length]:
+                if length == 1:
+                    bounds = [
+                        cache.get(key, floor) for cache, floor in zip(caches, floors, strict=True)
+                    ]
+                else:
+                    prefix, suffix = per_shard.get(key[:-1]), per_shard.get(key[1:])
+                    if prefix is None or suffix is None:
+                        continue
+                    bounds = [
+                        min(cache.get(key, floor), before, after)
+                        for cache, floor, before, after in zip(
+                            caches, floors, prefix, suffix, strict=True
+                        )
+                    ]
+                if sum(bounds) < self.min_sup:
+                    continue
+                supports = [
+                    self._gap_fill(shard, key) if bound else 0
+                    for shard, bound in zip(shards, bounds, strict=True)
+                ]
+                total = sum(supports)
+                if total >= self.min_sup:
+                    merged[key] = total
+                    per_shard[key] = supports
+        known = self._sort_keys
+        self._sort_keys = {
+            key: known.get(key) or (len(key), [repr(e) for e in key]) for key in merged
+        }
+        return {key: merged[key] for key in sorted(merged, key=self._sort_keys.__getitem__)}
 
     def _closed_filter(self, frequent: dict[PatternKey, int]) -> dict[PatternKey, int]:
         """Keep the closed patterns of an exhaustive frequent table.

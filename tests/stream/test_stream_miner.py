@@ -125,6 +125,54 @@ class TestIncrementalScheduling:
         extended = miner.snapshot_database().sequences[0]
         assert extended.events == ("C", "D", "X")
 
+    def test_eviction_rebuilds_no_shard_per_evicted_sequence(self, monkeypatch):
+        # A full 60-sequence window of 12-sequence shards: the next 12
+        # appends evict the oldest shard one sequence at a time.  Evicted
+        # sequences are dropped when the shard is next re-mined, so the
+        # only index appends are the 12 new sequences (rebuilding the oldest
+        # shard after each eviction made 11 + 10 + ... + 1 more).
+        from repro.db.index import InvertedEventIndex
+
+        sequences = _markov_sequences(3, n=72)
+        miner = StreamMiner(30, shard_size=12, window=60, max_length=4)
+        miner.append_many(sequences[:60])
+        miner.refresh()
+        calls = []
+        original = InvertedEventIndex.append_sequence
+
+        def counted(index, sequence):
+            calls.append(sequence)
+            return original(index, sequence)
+
+        monkeypatch.setattr(InvertedEventIndex, "append_sequence", counted)
+        miner.append_many(sequences[60:])
+        assert len(calls) == 12
+        assert len(miner) == 60
+        assert miner.snapshot_database().sequences == sequences[12:]
+        assert canon(miner.refresh().result) == canon(batch_oracle(miner))
+
+    def test_partial_eviction_is_compacted_at_the_next_remine(self):
+        miner = StreamMiner(3, shard_size=4, window=10, max_length=3)
+        sequences = _markov_sequences(5, n=13)
+        miner.append_many(sequences)
+        oldest = miner._shards[0]
+        assert (len(oldest), oldest.evicted) == (1, 3)
+        assert canon(miner.refresh().result) == canon(batch_oracle(miner))
+        assert (len(oldest.stream), oldest.evicted) == (1, 0)
+        assert miner.snapshot_database().sequences == sequences[3:]
+
+    def test_remine_span_is_a_sibling_of_the_merge_span(self):
+        from repro.obs import MetricsRegistry, TraceRecorder
+
+        obs = MetricsRegistry(recorder=TraceRecorder())
+        miner = StreamMiner(4, shard_size=4, max_length=4, obs=obs)
+        miner.append_many(_markov_sequences(0, n=12))
+        miner.refresh()
+        spans = {s.name: s for s in obs.recorder.spans()}
+        refresh = spans["stream.refresh.seconds"]
+        assert spans["stream.remine.seconds"].parent_id == refresh.span_id
+        assert spans["stream.merge.seconds"].parent_id == refresh.span_id
+
     def test_eviction_invalidates_handles(self):
         miner = StreamMiner(2, shard_size=2, window=4)
         handles = miner.append_many(["AB", "BC", "CA", "AB", "BC", "CA"])
