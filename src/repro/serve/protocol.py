@@ -114,8 +114,17 @@ class ProtocolError(ValueError):
 
 
 def encode_line(payload: dict[str, Any]) -> bytes:
-    """One protocol line: compact JSON plus the newline terminator."""
-    return json.dumps(payload, ensure_ascii=False, separators=(",", ":")).encode() + b"\n"
+    """One protocol line: compact JSON plus the newline terminator.
+
+    A lone surrogate (``"\\ud800"`` is valid JSON, so a request can carry
+    one back in its ``id``) has no UTF-8 form; such a payload is written
+    ``\\u``-escaped instead, which decodes to the same strings.
+    """
+    text = json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
+    try:
+        return text.encode() + b"\n"
+    except UnicodeEncodeError:
+        return json.dumps(payload, separators=(",", ":")).encode() + b"\n"
 
 
 def decode_line(line: bytes) -> dict[str, Any]:

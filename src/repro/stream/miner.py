@@ -24,13 +24,16 @@ workers through the same fan-out as batch mining), (2) merges cached
 per-shard supports of the candidate union, and (3) applies
 the paper's closedness criterion — a pattern is non-closed iff some
 one-event extension has equal support (Theorem 4), and every such extension
-is itself globally frequent, hence present in the merged table.  Under a
-``max_length`` cap, shards are mined one event deeper than the cap so that
-cap-length patterns still see their absorbing extensions, matching
-``CloGSgrow``'s "closed in the full universe, truncated at the cap"
-semantics.  The result is **byte-identical** (as a pattern → support set) to
-running ``mine_closed`` over the equivalent static database — the invariant
-the randomized regression tests enforce.
+is itself globally frequent.  Shards are mined only to a ``max_length``
+cap, so below the cap each key marks its one-event deletions of equal
+support.  The witnesses of a cap-length key are one event too long for the
+table, yet ``CloGSgrow``'s semantics ("closed in the full universe,
+truncated at the cap") asks for them: they are found through the exact
+per-shard supports of the cap-length keys they contain, and confirmed with
+per-shard ``supComp`` calls (:meth:`StreamMiner._has_witness`).  The result
+is **byte-identical** (as a pattern → support set) to running
+``mine_closed`` over the equivalent static database — the invariant the
+randomized regression tests enforce.
 
 The merge (2) is incremental.  A clean shard's table holds every pattern
 with local support at least its mining threshold, so a key it has no number
@@ -72,8 +75,9 @@ import tempfile
 import threading
 import weakref
 from dataclasses import dataclass, field
+from operator import ge
 from pathlib import Path
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -115,6 +119,7 @@ class _Shard:
         "evicted",
         "dirty",
         "supports",
+        "witnesses",
         "mined_threshold",
         "db_backend",
         "db_dir",
@@ -143,10 +148,13 @@ class _Shard:
         #: `compact` drops them in one rebuild.
         self.evicted = 0
         self.dirty = True
-        #: Exact local supports: every pattern (up to the mining cap) with
+        #: Exact local supports: every pattern (up to the length cap) with
         #: local support at least `mined_threshold`, plus the gap-fills
         #: asked for while the shard has been clean.
         self.supports: dict[PatternKey, int] = {}
+        #: Exact local supports of the one-event-too-long witness candidates
+        #: the closed filter confirmed here; cleared with `supports`.
+        self.witnesses: dict[PatternKey, int] = {}
         self.mined_threshold: int | None = None
 
     def __len__(self) -> int:
@@ -157,6 +165,13 @@ class _Shard:
         """Upper bound on the local support of a key missing from `supports`."""
         assert self.mined_threshold is not None, "bounds need a mined shard"
         return self.mined_threshold - 1
+
+    def reset(self, supports: dict[PatternKey, int], threshold: int) -> None:
+        """Install a fresh mining table; the old table's witness supports go with it."""
+        self.supports = supports
+        self.witnesses = {}
+        self.mined_threshold = threshold
+        self.dirty = False
 
     def add_handle(self, handle: int) -> None:
         """Register the handle of a freshly appended sequence."""
@@ -503,13 +518,8 @@ class StreamMiner:
             remined_before = self.stats.shards_remined
             self._remine_stale()
             with self.obs.span("stream.merge.seconds"):
-                merged = self._merged_supports()
-            if self.closed:
-                kept = self._closed_filter(merged)
-            else:
-                kept = merged
-            if self.max_length is not None:
-                kept = {k: s for k, s in kept.items() if len(k) <= self.max_length}
+                merged, per_shard = self._merged_supports()
+            kept = self._closed_filter(merged, per_shard) if self.closed else merged
             result = MiningResult(
                 (
                     MinedPattern(pattern=Pattern(key), support=support)
@@ -727,11 +737,8 @@ class StreamMiner:
         return self._required_threshold()
 
     def _shard_mining_cap(self) -> int | None:
-        # Closed filtering needs the absorbing one-event extensions of
-        # cap-length patterns, so shards are mined one event deeper.
-        if self.max_length is None:
-            return None
-        return self.max_length + 1 if self.closed else self.max_length
+        """Length cap of the shard mines: the miner's own (see `_closed_filter`)."""
+        return self.max_length
 
     # reprolint: holds-lock
     def _remine_stale(self) -> None:
@@ -774,9 +781,7 @@ class StreamMiner:
             )
         for shard, result in zip(stale, results, strict=True):
             self._count_shard(shard, -1)
-            shard.supports = {mp.pattern.events: mp.support for mp in result}
-            shard.mined_threshold = mine_at
-            shard.dirty = False
+            shard.reset({mp.pattern.events: mp.support for mp in result}, mine_at)
             self._count_shard(shard, 1)
         self.stats.shards_remined += len(stale)
 
@@ -813,8 +818,13 @@ class StreamMiner:
         return support
 
     # reprolint: holds-lock
-    def _merged_supports(self) -> dict[PatternKey, int]:
+    def _merged_supports(
+        self,
+    ) -> tuple[dict[PatternKey, int], dict[PatternKey, list[int]]]:
         """Exact global supports of every globally frequent pattern, in ``(len, repr)`` order.
+
+        Also returns each frequent key's exact per-shard supports, in shard
+        order, which the closed filter's witness search reads.
 
         Bounds only the keys whose running total plus the shards' floors
         reaches ``min_sup`` (see the module docstring), level by level, so a
@@ -864,36 +874,135 @@ class StreamMiner:
         self._sort_keys = {
             key: known.get(key) or (len(key), [repr(e) for e in key]) for key in merged
         }
-        return {key: merged[key] for key in sorted(merged, key=self._sort_keys.__getitem__)}
+        ordered = sorted(merged, key=self._sort_keys.__getitem__)
+        return {key: merged[key] for key in ordered}, per_shard
 
-    def _closed_filter(self, frequent: dict[PatternKey, int]) -> dict[PatternKey, int]:
-        """Keep the closed patterns of an exhaustive frequent table.
+    def _closed_filter(
+        self, frequent: dict[PatternKey, int], per_shard: dict[PatternKey, list[int]]
+    ) -> dict[PatternKey, int]:
+        """Keep the closed patterns of the merged table.
 
-        Theorem 4: ``P`` is non-closed iff some one-event extension has the
-        same support — and an equal-support extension is itself frequent,
-        hence present in ``frequent``.  Candidate witnesses are grouped by
-        (length, support) so each pattern only runs subsequence checks
-        against the few patterns that could absorb it.
+        Theorem 4: ``P`` is non-closed iff some one-event extension ``Q`` has
+        the same support.  Such a ``Q`` is frequent, so below the cap it is
+        in ``frequent``: each key marks its one-event deletions of equal
+        support.  The extensions of a cap-length key lie past the shard
+        tables; `_has_witness` finds them through the cap-length keys,
+        indexed here by their one-event deletions.
         """
-        by_len_sup: dict[tuple[int, int], list[PatternKey]] = {}
+        cap = self.max_length
+        absorbed: set[PatternKey] = set()
+        by_base: dict[PatternKey, list[tuple[PatternKey, Event, int, int]]] = {}
+        capped: list[tuple[PatternKey, list[tuple[PatternKey, int, int]]]] = []
         for key, support in frequent.items():
-            by_len_sup.setdefault((len(key), support), []).append(key)
-        closed: dict[PatternKey, int] = {}
-        for key, support in frequent.items():
-            witnesses = by_len_sup.get((len(key) + 1, support), ())
-            if not any(_is_subsequence(key, bigger) for bigger in witnesses):
-                closed[key] = support
-        return closed
+            deletions = _deletions(key)
+            for base, _, _ in deletions:
+                if frequent.get(base) == support:
+                    absorbed.add(base)
+            if len(key) == cap:
+                for base, start, stop in deletions:
+                    by_base.setdefault(base, []).append((key, key[start], start, stop))
+                capped.append((key, deletions))
+        for key, deletions in capped:
+            if self._has_witness(key, deletions, by_base, per_shard):
+                absorbed.add(key)
+        return {key: support for key, support in frequent.items() if key not in absorbed}
+
+    def _has_witness(
+        self,
+        key: PatternKey,
+        deletions: list[tuple[PatternKey, int, int]],
+        by_base: dict[PatternKey, list[tuple[PatternKey, Event, int, int]]],
+        per_shard: dict[PatternKey, list[int]],
+    ) -> bool:
+        """True if the cap-length ``key`` has a one-event extension of equal support.
+
+        Supports never grow under extension, even per sequence (Theorem 1),
+        and add across shards, so a witness ``Q`` has ``sup_s(Q) = sup_s(key)``
+        in every shard ``s``.  Each one-event deletion ``R`` of ``Q`` is then a
+        frequent cap-length key that *dominates* ``key``: ``sup_s(R) >=
+        sup_s(key)`` in every shard.  Deleting from ``Q`` the event that a
+        deletion ``B`` of ``key`` drops gives such an ``R`` with deletion ``B``,
+        so the dominating keys of any one bucket ``by_base[B]`` (``key``
+        itself included, for a doubled event) yield every witness: the
+        smallest bucket is searched.  Each candidate ``Q`` they yield must
+        have only dominating deletions, and is then confirmed shard by shard
+        with exact supports.
+        """
+        own = per_shard[key]
+        base, deleted, _ = min(deletions, key=lambda d: len(by_base[d[0]]))
+        neighbours = [
+            entry for entry in by_base[base] if all(map(ge, per_shard[entry[0]], own))
+        ]
+        return any(
+            self._is_witness(candidate, own, per_shard)
+            for candidate in _extensions(key, deleted, neighbours)
+        )
+
+    def _is_witness(
+        self, candidate: PatternKey, own: list[int], per_shard: dict[PatternKey, list[int]]
+    ) -> bool:
+        """True if ``candidate`` has the per-shard supports ``own`` of its deletion.
+
+        Every one-event deletion must be a frequent key dominating ``own``.
+        The exact supports are then compared shard by shard, and the check
+        stops at the first shard that falls short.  Each is cached on its
+        shard while the shard's table lasts: cached shards go first, so a
+        known shortfall costs no query, then the rest newest first, whose
+        answers stay cached longest in a sliding window.
+        """
+        for gap in range(len(candidate)):
+            theirs = per_shard.get(candidate[:gap] + candidate[gap + 1 :])
+            if theirs is None or not all(map(ge, theirs, own)):
+                return False
+        unknown = []
+        for shard, need in zip(reversed(self._shards), reversed(own), strict=True):
+            if need:
+                support = shard.witnesses.get(candidate)
+                if support is None:
+                    unknown.append((shard, need))
+                elif support < need:
+                    return False
+        for shard, need in unknown:
+            self.stats.sup_comp_calls += 1
+            support = repetitive_support(shard.stream.index, Pattern(candidate))
+            shard.witnesses[candidate] = support
+            if support < need:
+                return False
+        return True
 
 
-def _is_subsequence(small: PatternKey, big: PatternKey) -> bool:
-    """True if ``small`` is a (gapped) subsequence of ``big``."""
-    pos = 0
-    limit = len(big)
-    for event in small:
-        while pos < limit and big[pos] != event:
-            pos += 1
-        if pos == limit:
-            return False
-        pos += 1
-    return True
+def _extensions(
+    key: PatternKey, deleted: int, neighbours: list[tuple[PatternKey, Event, int, int]]
+) -> Iterator[PatternKey]:
+    """The one-event extensions of ``key`` that have a neighbour as a deletion, once each.
+
+    ``neighbours`` share the deletion of ``key``'s run that starts at
+    ``deleted``; each is that base with ``event`` put into any gap in
+    ``[low, high)``.  In ``key`` a base gap left of the deleted event keeps
+    its index, one right of it moves up by one, and the deleted event's own
+    gap may take ``event`` on either side.
+    """
+    for _, event, low, high in neighbours:
+        first = low if low <= deleted else low + 1
+        last = high - 1 if high - 1 < deleted else high
+        for gap in range(first, last + 1):
+            if gap == first or key[gap - 1] != event:  # else the same as one gap earlier
+                yield key[:gap] + (event,) + key[gap:]
+
+
+def _deletions(key: PatternKey) -> list[tuple[PatternKey, int, int]]:
+    """The distinct one-event deletions of ``key``, each with its run ``[start, stop)``.
+
+    Deleting any event of a run of equal events gives the same key, so each
+    run gives one deletion.
+    """
+    deletions = []
+    start, length = 0, len(key)
+    while start < length:
+        stop = start + 1
+        while stop < length and key[stop] == key[start]:
+            stop += 1
+        deletions.append((key[:start] + key[start + 1 :], start, stop))
+        start = stop
+    return deletions
+

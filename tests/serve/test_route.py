@@ -12,7 +12,10 @@ edges:
   (which counts hits) and the worker pool (which counts misses): every
   cacheable request counts once, as a hit or a miss;
 * the sweep releases its match result before it builds the score wire
-  lists, so a lone request's garbage never holds both at once.
+  lists, so a lone request's garbage never holds both at once;
+* a lone surrogate echoed back in ``id`` or ``trace`` (valid JSON, no UTF-8
+  form) gets a ``\\u``-escaped line instead of failing its request and the
+  rest of its batch.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import weakref
 import pytest
 
 from repro.match.service import PatternMatcher
+from repro.obs import MetricsRegistry, TraceRecorder
 from repro.serve import PatternServer, ServeClient
 from repro.serve import core as core_module
 from repro.serve.core import ServeCore
@@ -33,13 +37,13 @@ GOOD = {"op": "score", "sequences": ["ABCDAB"], "id": "good"}
 
 
 async def exchange_concurrently(
-    address: tuple[str, int], requests: list[dict]
+    address: tuple[str, int], requests: list[dict | bytes]
 ) -> list[bytes]:
-    """One connection per request, all written before any is read."""
+    """One connection per request (an object or a raw line), all written before any is read."""
     connections = [await asyncio.open_connection(*address) for _ in requests]
     try:
         for (_, writer), request in zip(connections, requests, strict=True):
-            writer.write(encode_line(request))
+            writer.write(request if isinstance(request, bytes) else encode_line(request))
         await asyncio.gather(*(writer.drain() for _, writer in connections))
         return await asyncio.gather(
             *(asyncio.wait_for(reader.readline(), 30) for reader, _ in connections)
@@ -80,6 +84,95 @@ class TestUnusableNamespaceInABatch:
 
         assert sizes["max"] == 2, "the two requests never shared a batch"
         assert produced == expected
+
+
+#: Score request lines that echo a lone surrogate back, in ``id`` or in ``trace``.
+SURROGATE_ID = b'{"op":"score","sequences":["ABCDAB"],"id":"\\ud800"}\n'
+SURROGATE_TRACE = (
+    b'{"op":"score","sequences":["ABCDAB"],'
+    b'"trace":{"trace_id":"\\ud800","span_id":"a1"},"id":"bad"}\n'
+)
+
+
+def traced() -> MetricsRegistry:
+    return MetricsRegistry(recorder=TraceRecorder())
+
+
+def untraced(line: bytes) -> dict:
+    """A response line's object without its ``trace`` (span ids are fresh per run)."""
+    response = json.loads(line)
+    response.pop("trace", None)
+    return response
+
+
+class TestLoneSurrogateInAnEcho:
+    def test_handle_raw_answers_a_lone_surrogate_id(self, store_file):
+        line, _ = ServeCore(store_file).handle_raw(b'{"op":"ping","id":"\\ud800"}\n')
+        assert line.endswith(b"\n") and line.count(b"\n") == 1
+        assert json.loads(line)["id"] == "\ud800"
+
+    def test_handle_raw_answers_a_lone_surrogate_trace_id(self, store_file):
+        line, _ = ServeCore(store_file, obs=traced()).handle_raw(SURROGATE_TRACE)
+        assert line.endswith(b"\n") and line.count(b"\n") == 1
+        response = json.loads(line)
+        assert response["ok"] is True
+        assert response["trace"]["trace_id"] == "\ud800"
+
+    def test_only_the_offending_line_is_escaped(self):
+        good = encode_line({"ok": True, "id": "é"})
+        assert good == '{"ok":true,"id":"é"}\n'.encode()
+        assert encode_line({"ok": True, "id": "\ud800"}) == b'{"ok":true,"id":"\\ud800"}\n'
+
+    def test_process_batch_answers_both_tickets(self, store_file):
+        lines = [encode_line(GOOD), SURROGATE_ID]
+        oracle = ServeCore(store_file)
+        expected = [oracle.handle_raw(line)[0] for line in lines]
+
+        core = ServeCore(store_file)
+        produced = [line for line, _ in core.process_batch([core.begin(x) for x in lines])]
+
+        assert produced == expected
+        assert json.loads(produced[1])["id"] == "\ud800"
+
+    def test_process_batch_answers_both_tickets_when_traced(self, store_file):
+        lines = [encode_line(GOOD), SURROGATE_TRACE]
+        oracle = ServeCore(store_file, obs=traced())
+        expected = [untraced(oracle.handle_raw(line)[0]) for line in lines]
+
+        core = ServeCore(store_file, obs=traced())
+        produced = [line for line, _ in core.process_batch([core.begin(x) for x in lines])]
+
+        assert [untraced(line) for line in produced] == expected
+        assert json.loads(produced[1])["trace"]["trace_id"] == "\ud800"
+
+    def test_live_daemon_answers_the_good_batch_mate(self, store_file):
+        oracle = ServeCore(store_file)
+        expected = [oracle.handle_raw(line)[0] for line in (encode_line(GOOD), SURROGATE_ID)]
+
+        with PatternServer(store_file, batch_window_ms=150.0) as server:
+            produced = asyncio.run(
+                exchange_concurrently(server.address, [GOOD, SURROGATE_ID])
+            )
+            sizes = server.obs.snapshot()["histograms"]["serve.batch.size"]
+
+        assert sizes["max"] == 2, "the two requests never shared a batch"
+        assert produced == expected
+
+    def test_live_traced_daemon_answers_the_good_batch_mate(self, store_file):
+        oracle = ServeCore(store_file, obs=traced())
+        expected = [
+            untraced(oracle.handle_raw(line)[0]) for line in (encode_line(GOOD), SURROGATE_TRACE)
+        ]
+
+        with PatternServer(store_file, batch_window_ms=150.0, obs=traced()) as server:
+            produced = asyncio.run(
+                exchange_concurrently(server.address, [GOOD, SURROGATE_TRACE])
+            )
+            sizes = server.obs.snapshot()["histograms"]["serve.batch.size"]
+
+        assert sizes["max"] == 2, "the two requests never shared a batch"
+        assert [untraced(line) for line in produced] == expected
+        assert json.loads(produced[1])["trace"]["trace_id"] == "\ud800"
 
 
 class TestCacheCountersAcrossLoopAndPool:

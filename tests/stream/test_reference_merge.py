@@ -1,14 +1,23 @@
-"""The incremental stream merge against a from-scratch reference merge.
+"""The incremental stream merge and closed filter against a from-scratch reference.
 
-``ReferenceMiner`` keeps the from-scratch merge as a test-local oracle.  On
-every refresh it takes the union of the shard tables, sorts all of it by
-``(len, repr)`` and bounds every candidate in every shard before the
-prefix/suffix tightening and the gap-fill.  :class:`StreamMiner` keeps a
-running total per key across refreshes and bounds only the keys whose total
-can still reach ``min_sup``.  Over random schedules the two must agree on
-every result, on every delta and its order, and on every gap-fill
-(``sup_comp_calls``), and the running totals must always equal a recount
-over the live shards' caches.
+``ReferenceMiner`` keeps an independent oracle as test-local code:
+
+* its merge takes the union of the shard tables, sorts all of it by
+  ``(len, repr)`` and bounds every candidate in every shard before the
+  prefix/suffix tightening and the gap-fill;
+* with a ``max_length`` cap and ``closed=True`` it mines every shard one
+  event deeper than the cap, so a cap-length key's one-event extensions are
+  in its merged table, and its closed filter scans them with a subsequence
+  check before truncating the result at the cap.
+
+:class:`StreamMiner` keeps a running total per key across refreshes, bounds
+only the keys whose total can still reach ``min_sup``, mines shards only to
+the cap and finds cap-length witnesses through the merged table.  Over random
+schedules the two must agree on every result, on every delta and its order,
+on every summary and on every :class:`StreamStats` field but
+``sup_comp_calls`` (the two make different support queries by design).  The
+running totals must always equal a recount over the live shards' caches, and
+every cached witness support must equal a fresh support query on its shard.
 """
 
 from __future__ import annotations
@@ -17,12 +26,32 @@ import random
 
 import pytest
 
+from repro.core.pattern import Pattern
+from repro.core.support import repetitive_support
 from repro.datagen.markov import MarkovSequenceGenerator
 from repro.stream import StreamMiner
 
 
 class ReferenceMiner(StreamMiner):
-    """A :class:`StreamMiner` whose merge re-bounds the whole candidate union."""
+    """A :class:`StreamMiner` that merges from scratch and filters one level deeper."""
+
+    def _shard_mining_cap(self):
+        if self.max_length is None:
+            return None
+        return self.max_length + 1 if self.closed else self.max_length
+
+    def _closed_filter(self, frequent, per_shard):
+        by_len_sup = {}
+        for key, support in frequent.items():
+            by_len_sup.setdefault((len(key), support), []).append(key)
+        closed = {}
+        for key, support in frequent.items():
+            witnesses = by_len_sup.get((len(key) + 1, support), ())
+            if not any(_is_subsequence(key, bigger) for bigger in witnesses):
+                closed[key] = support
+        if self.max_length is None:
+            return closed
+        return {key: support for key, support in closed.items() if len(key) <= self.max_length}
 
     def _merged_supports(self):
         shards = self._shards
@@ -53,7 +82,19 @@ class ReferenceMiner(StreamMiner):
             if total >= self.min_sup:
                 merged[key] = total
                 per_shard[key] = supports
-        return merged
+        return merged, per_shard
+
+
+def _is_subsequence(small, big) -> bool:
+    """True if ``small`` is a (gapped) subsequence of ``big``."""
+    pos = 0
+    for event in small:
+        while pos < len(big) and big[pos] != event:
+            pos += 1
+        if pos == len(big):
+            return False
+        pos += 1
+    return True
 
 
 def _pool(seed: int, n: int = 160) -> list:
@@ -81,6 +122,26 @@ def assert_totals_recount(miner: StreamMiner) -> None:
     assert set(miner._totals) <= set(counted)
 
 
+def assert_witnesses_exact(miner: StreamMiner) -> int:
+    """Every cached witness support is the shard's current support of that key.
+
+    Returns how many cached supports it checked.
+    """
+    checked = 0
+    for shard in miner._shards:
+        for key, support in shard.witnesses.items():
+            assert support == repetitive_support(shard.stream.index, Pattern(key)), key
+            checked += 1
+    return checked
+
+
+def stats_but_queries(miner: StreamMiner) -> dict:
+    """The miner's :class:`StreamStats` without ``sup_comp_calls``."""
+    stats = miner.stats.as_dict()
+    del stats["sup_comp_calls"]
+    return stats
+
+
 def assert_same_update(update, expected) -> None:
     assert _rows(update.result) == _rows(expected.result)
     assert _rows(update.new_patterns) == _rows(expected.new_patterns)
@@ -95,7 +156,8 @@ def run_schedule(seed: int, batches: int, *, extend: float = 0.0, step: float = 
     """Drive both miners through one random schedule.
 
     Returns the incremental miner's stats and its running totals after the
-    last refresh (both miners are closed on the way out).
+    last refresh, and how many cached witness supports were checked over the
+    run (both miners are closed on the way out).
 
     Each batch appends 1-6 sequences (timestamps ``step`` apart when the
     miner has a time window), extends a live sequence with probability
@@ -105,6 +167,7 @@ def run_schedule(seed: int, batches: int, *, extend: float = 0.0, step: float = 
     pool = _pool(seed)
     miner, reference = StreamMiner(**config), ReferenceMiner(**config)
     clock = 0.0
+    checked = 0
     try:
         for _ in range(batches):
             for _ in range(rng.randint(1, 6)):
@@ -118,9 +181,10 @@ def run_schedule(seed: int, batches: int, *, extend: float = 0.0, step: float = 
                     miner.extend(handle, events)
                     reference.extend(handle, events)
             assert_same_update(miner.refresh(), reference.refresh())
-            assert miner.stats.as_dict() == reference.stats.as_dict()
+            assert stats_but_queries(miner) == stats_but_queries(reference)
             assert_totals_recount(miner)
-        return miner.stats, dict(miner._totals)
+            checked += assert_witnesses_exact(miner)
+        return miner.stats, dict(miner._totals), checked
     finally:
         miner.close()
         reference.close()
@@ -132,14 +196,16 @@ SEEDS = [11, 12, 13]
 class TestIncrementalMergeMatchesReference:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("closed", [True, False])
-    def test_count_window_with_partial_evictions(self, seed, closed):
-        run_schedule(seed, 20, min_sup=6, closed=closed, shard_size=4, window=14, max_length=4)
+    @pytest.mark.parametrize("cap", [1, 2, 4])
+    def test_count_window_with_partial_evictions(self, seed, closed, cap):
+        run_schedule(seed, 20, min_sup=6, closed=closed, shard_size=4, window=14, max_length=cap)
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("closed", [True, False])
-    def test_time_window_with_partial_evictions(self, seed, closed):
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_time_window_with_partial_evictions(self, seed, closed, cap):
         run_schedule(
-            seed, 20, min_sup=5, closed=closed, shard_size=3, window_seconds=12.0, max_length=3
+            seed, 20, min_sup=5, closed=closed, shard_size=3, window_seconds=12.0, max_length=cap
         )
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -151,8 +217,22 @@ class TestIncrementalMergeMatchesReference:
     def test_no_window_with_falling_thresholds(self, seed, closed):
         # Shard count grows every few batches, so the SON bound falls and
         # every shard is re-mined at the lower threshold now and then.
-        stats, _ = run_schedule(seed, 12, extend=0.2, min_sup=24, closed=closed, shard_size=3)
+        stats, _, _ = run_schedule(seed, 12, extend=0.2, min_sup=24, closed=closed, shard_size=3)
         assert stats.shards_remined > stats.refreshes
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_witness_caches_track_extends_evictions_and_falling_thresholds(self, seed):
+        # A time window keeps the SON bound tracking the shard count, which
+        # grows until the window fills, and evicts part of the oldest shard;
+        # extends dirty older shards.  Every cached witness support must
+        # stay the support of its shard's current contents.
+        stats, _, checked = run_schedule(
+            seed, 24, extend=0.3, step=0.6, min_sup=8, shard_size=3,
+            window_seconds=18.0, max_length=2,
+        )
+        assert stats.extends and stats.evictions
+        assert stats.shards_remined > stats.refreshes
+        assert checked
 
     def test_uncapped_closed_mining(self):
         run_schedule(3, 10, min_sup=6, shard_size=5, window=16)
@@ -167,7 +247,7 @@ class TestIncrementalMergeMatchesReference:
         )
 
     def test_totals_track_fifty_batches_of_a_sliding_window(self):
-        stats, totals = run_schedule(
+        stats, totals, _ = run_schedule(
             21, 50, extend=0.1, min_sup=6, shard_size=5, window=17, max_length=4
         )
         assert stats.evictions > 100

@@ -9,6 +9,7 @@ the StreamMiner's pattern set is **byte-identical** to a full batch
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -17,8 +18,12 @@ from repro.core.clogsgrow import mine_closed
 from repro.core.gsgrow import mine_all
 from repro.datagen.markov import MarkovSequenceGenerator
 from repro.stream import StreamMiner
+from repro.stream.miner import _deletions, _extensions
 
 SEEDS = [0, 1, 2]
+#: Length caps of the batch-oracle tests; at cap 1 a cap-length key's only
+#: one-event deletion is the empty pattern.
+CAPS = [1, 2, 4]
 
 
 def _markov_sequences(seed, n=24):
@@ -47,9 +52,10 @@ def batch_oracle(miner: StreamMiner):
 class TestStreamingEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("closed", [True, False])
-    def test_interleaved_refreshes_match_batch_oracle(self, seed, closed):
+    @pytest.mark.parametrize("cap", CAPS)
+    def test_interleaved_refreshes_match_batch_oracle(self, seed, closed, cap):
         rng = random.Random(seed)
-        miner = StreamMiner(6, closed=closed, shard_size=5, max_length=4)
+        miner = StreamMiner(6, closed=closed, shard_size=5, max_length=cap)
         for seq in _markov_sequences(seed):
             miner.append(seq)
             if rng.random() < 0.3:
@@ -58,8 +64,9 @@ class TestStreamingEquivalence:
         assert canon(miner.refresh().result) == canon(batch_oracle(miner))
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_sliding_window_eviction_matches_batch_oracle(self, seed):
-        miner = StreamMiner(5, shard_size=4, window=10, max_length=4)
+    @pytest.mark.parametrize("cap", CAPS)
+    def test_sliding_window_eviction_matches_batch_oracle(self, seed, cap):
+        miner = StreamMiner(5, shard_size=4, window=10, max_length=cap)
         for step, seq in enumerate(_markov_sequences(seed)):
             miner.append(seq)
             assert len(miner) <= 10
@@ -68,9 +75,10 @@ class TestStreamingEquivalence:
         assert canon(miner.refresh().result) == canon(batch_oracle(miner))
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_extending_existing_sequences_matches_batch_oracle(self, seed):
+    @pytest.mark.parametrize("cap", CAPS)
+    def test_extending_existing_sequences_matches_batch_oracle(self, seed, cap):
         rng = random.Random(seed + 7)
-        miner = StreamMiner(5, shard_size=4, max_length=4)
+        miner = StreamMiner(5, shard_size=4, max_length=cap)
         handles = []
         for seq in _markov_sequences(seed, n=12):
             handles.append(miner.append(seq))
@@ -279,3 +287,34 @@ class TestValidation:
         update = miner.refresh()
         assert len(update.result) == 0
         assert update.total_sequences == 0
+
+
+class TestClosedFilter:
+    """The closed filter's deletion rule and witness candidates, on hand-built keys."""
+
+    def test_equal_support_absorbs_a_deletion_two_events_give(self):
+        # Deleting either "A" of ("A", "A", "B") gives ("A", "B").
+        miner = StreamMiner(2)
+        table = {("A",): 6, ("B",): 4, ("A", "B"): 3, ("A", "A", "B"): 3}
+        assert miner._closed_filter(table, {}) == {("A",): 6, ("B",): 4, ("A", "A", "B"): 3}
+
+    def test_lower_support_absorbs_nothing(self):
+        miner = StreamMiner(2)
+        table = {("A",): 6, ("B",): 4, ("A", "B"): 3, ("A", "A", "B"): 2}
+        assert miner._closed_filter(table, {}) == table
+
+    @pytest.mark.parametrize("alphabet", ["AB", "ABC"])
+    @pytest.mark.parametrize("length", [1, 2, 3, 4])
+    def test_any_deletion_bucket_yields_every_extension_once(self, alphabet, length):
+        # With every key of one length in the index, the keys sharing any one
+        # deletion of a key yield all of its one-event extensions, none twice.
+        keys = list(itertools.product(alphabet, repeat=length))
+        by_base = {}
+        for key in keys:
+            for base, start, stop in _deletions(key):
+                by_base.setdefault(base, []).append((key, key[start], start, stop))
+        for key in keys:
+            every = [key[:gap] + (e,) + key[gap:] for gap in range(length + 1) for e in alphabet]
+            for base, deleted, _ in _deletions(key):
+                produced = list(_extensions(key, deleted, by_base[base]))
+                assert sorted(produced) == sorted(set(every)), (key, base)
