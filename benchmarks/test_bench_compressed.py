@@ -23,7 +23,6 @@ import pytest
 from repro.core.compressed import equivalent, sup_comp_compressed
 from repro.core.gsgrow import GSgrow
 from repro.core.support import sup_comp
-from repro.core.sweep import HAVE_NUMPY
 from repro.db.database import SequenceDatabase
 from repro.db.index import InvertedEventIndex
 
@@ -73,7 +72,6 @@ def test_growth_compressed(benchmark, long_pattern_index):
     result = benchmark(sup_comp_compressed, long_pattern_index, PATTERN)
     _, peak = _peak_memory(lambda: sup_comp_compressed(long_pattern_index, PATTERN))
     benchmark.extra_info["engine"] = "compressed"
-    benchmark.extra_info["numpy_sweep"] = HAVE_NUMPY
     benchmark.extra_info["support"] = result.support
     benchmark.extra_info["tracemalloc_peak_bytes"] = peak
     assert equivalent(sup_comp(long_pattern_index, PATTERN), result)
@@ -97,7 +95,6 @@ def test_engine_comparison(benchmark, long_pattern_index):
         return {
             "support": compressed.support,
             "pattern_length": len(PATTERN),
-            "numpy_sweep": HAVE_NUMPY,
             "full_seconds": full_seconds,
             "compressed_seconds": compressed_seconds,
             "growth_speedup": full_seconds / compressed_seconds,
@@ -129,7 +126,6 @@ def test_mine_default_engine_matches_full(benchmark, long_pattern_index):
         ]
         return {
             "patterns": len(compressed),
-            "numpy_sweep": HAVE_NUMPY,
             "full_seconds": full_seconds,
             "compressed_seconds": compressed_seconds,
             "mine_speedup": full_seconds / compressed_seconds,

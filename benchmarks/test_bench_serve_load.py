@@ -3,11 +3,10 @@
 The serving daemon is an asyncio event loop with server-side
 micro-batching (one automaton sweep amortised across every ``score`` /
 ``match`` request that lands inside the batching window) and a
-generation-keyed response cache served straight from the event loop.  The
-claim that justifies that design: under many concurrent clients it clearly
-outperforms a thread-per-connection daemon, whose per-request costs — a
-full matcher sweep per request plus GIL-contended handler threads — scale
-with client count.
+generation-keyed response cache served straight from the event loop.  This
+benchmark puts it under a burst of concurrent clients, beside a
+thread-per-connection daemon that pays a full matcher sweep per request on
+GIL-contended handler threads.
 
 The baseline is :class:`ThreadPerConnectionServer` below: a
 :mod:`socketserver` shell over the same :meth:`ServeCore.handle_raw`, so
@@ -24,15 +23,21 @@ workloads:
   worker thread (the baseline shares the same cache, but pays a scheduled
   handler thread per response).
 
-The acceptance bar: at ``CLIENTS`` concurrent clients the batched asyncio
-daemon sustains at least ``REQUIRED_SPEEDUP``x the baseline's throughput
-on the unique workload, and its unique run really batched (a flush of at
-least two requests in ``serve.batch.size``).
+Tier-1 runs the asyncio daemon alone and asserts what it can count: every
+request gets a newline-terminated response, and the unique run really
+batched (a flush of at least two requests in ``serve.batch.size``).
+
+The throughput comparison against the baseline is a wall-clock bar, so
+tier-1 skips it; ``REPRO_WALLCLOCK_GATES=1`` runs it (CI's wall-clock job
+does, retrying once).  At ``CLIENTS`` concurrent clients the batched
+asyncio daemon must sustain at least ``REQUIRED_SPEEDUP``x the baseline's
+throughput on the unique workload.
 """
 
 from __future__ import annotations
 
 import asyncio
+import os
 import random
 import socketserver
 import statistics
@@ -58,6 +63,10 @@ REPEAT_POOL = 8
 #: baseline's throughput at CLIENTS concurrent clients on the uncached
 #: workload (in practice the margin is wider; the bar tolerates CI noise).
 REQUIRED_SPEEDUP = 2.0
+
+#: Whether to run the wall-clock speed-up gate (tier-1 leaves it out: a
+#: loaded host can sink one run whatever the code does).
+WALLCLOCK_GATES = os.environ.get("REPRO_WALLCLOCK_GATES") == "1"
 
 
 class ThreadPerConnectionServer(ServeCore):
@@ -180,21 +189,56 @@ def _run_load(address: tuple[str, int], schedules: list[list[bytes]]) -> dict:
     }
 
 
+def _aio_load(store_file, workload: str) -> dict:
+    """One load run against the batched asyncio daemon, plus its largest batch."""
+    schedules = _payloads(workload, seed=10)
+    with PatternServer(store_file, batch_window_ms=BATCH_WINDOW_MS) as aio_server:
+        aio = _run_load(aio_server.address, schedules)
+        batches = aio_server.obs.snapshot()["histograms"]["serve.batch.size"]
+    aio["max_batch_size"] = batches["max"]
+    return aio
+
+
+def _record(benchmark, stats: dict) -> None:
+    benchmark.extra_info.update(
+        {"clients": CLIENTS, "requests_per_client": REQUESTS_PER_CLIENT, **stats}
+    )
+
+
+def test_batched_aio_daemon_answers_and_batches_concurrent_load(benchmark, load_store_file):
+    """32 concurrent clients: every request is answered, and unique requests batch."""
+
+    def run() -> dict:
+        stats: dict[str, float] = {}
+        for workload in ("unique", "repeat"):
+            for key, value in _aio_load(load_store_file, workload).items():
+                stats[f"{workload}_aio_{key}"] = value
+        return stats
+
+    stats = benchmark.pedantic(run, rounds=1, iterations=1)
+    _record(benchmark, stats)
+    assert stats["unique_aio_max_batch_size"] >= 2, "the unique workload never batched"
+
+
+@pytest.mark.skipif(not WALLCLOCK_GATES, reason="wall-clock gate: set REPRO_WALLCLOCK_GATES=1")
 def test_batched_aio_daemon_outpaces_threaded_daemon(benchmark, load_store_file):
-    """32 concurrent clients: asyncio+batching >= 2x thread-per-connection throughput."""
+    """32 concurrent clients: asyncio+batching >= 2x thread-per-connection throughput.
+
+    The margin rests on the baseline's default ``socketserver`` listen
+    backlog of 5.  The fleet's burst of 32 connects overflows it, and the
+    stalled connections (a TCP retransmission, 200-400 ms) set much of the
+    baseline's throughput.  With a backlog of 128 the same shell ran
+    0.7-1.3x the batched daemon on a 2-core host, so this gate shows the
+    daemon takes a connect burst that a stock thread-per-connection server
+    does not, more than it shows what batching buys.
+    """
 
     def compare() -> dict:
         stats: dict[str, float] = {}
         for workload in ("unique", "repeat"):
-            schedules = _payloads(workload, seed=10)
-            with PatternServer(
-                load_store_file, batch_window_ms=BATCH_WINDOW_MS
-            ) as aio_server:
-                aio = _run_load(aio_server.address, schedules)
-                batches = aio_server.obs.snapshot()["histograms"]["serve.batch.size"]
-            aio["max_batch_size"] = batches["max"]
+            aio = _aio_load(load_store_file, workload)
             with ThreadPerConnectionServer(load_store_file) as threaded_server:
-                threaded = _run_load(threaded_server.address, schedules)
+                threaded = _run_load(threaded_server.address, _payloads(workload, seed=10))
             for name, run in (("aio", aio), ("threaded", threaded)):
                 for key, value in run.items():
                     stats[f"{workload}_{name}_{key}"] = value
@@ -204,10 +248,7 @@ def test_batched_aio_daemon_outpaces_threaded_daemon(benchmark, load_store_file)
         return stats
 
     stats = benchmark.pedantic(compare, rounds=1, iterations=1)
-    benchmark.extra_info.update(
-        {"clients": CLIENTS, "requests_per_client": REQUESTS_PER_CLIENT, **stats}
-    )
-    assert stats["unique_aio_max_batch_size"] >= 2, "the unique workload never batched"
+    _record(benchmark, stats)
     assert stats["unique_speedup"] >= REQUIRED_SPEEDUP, (
         f"batched asyncio daemon only {stats['unique_speedup']:.2f}x the "
         f"thread-per-connection daemon at {CLIENTS} clients "

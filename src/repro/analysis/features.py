@@ -7,9 +7,8 @@ instances of ``P`` in the leftmost support set that live in ``S_i`` — i.e.
 the per-sequence share of the repetitive support.
 
 :class:`PatternFeatureExtractor` mines (or accepts) a set of patterns and
-turns a database into a feature matrix; plain Python lists are used so the
-package has no hard numpy dependency (numpy arrays are accepted and returned
-where available).
+turns a database into a feature matrix of plain Python lists, so the
+package needs no numpy.
 """
 
 from __future__ import annotations

@@ -8,7 +8,6 @@ the Experiment-1 runtime comparison:
 * :mod:`repro.baselines.sequential` — sequence-count support
   (Agrawal & Srikant) and an Apriori-style miner.
 * :mod:`repro.baselines.prefixspan` — the PrefixSpan miner (Pei et al.).
-* :mod:`repro.baselines.spam` — the SPAM bitmap miner (Ayres et al.).
 * :mod:`repro.baselines.clospan` — CloSpan-style closed sequential mining.
 * :mod:`repro.baselines.bide` — the BIDE closed sequential miner
   (Wang & Han) with BI-Directional Extension checking and BackScan pruning.
@@ -30,14 +29,11 @@ from repro.baselines.interaction import interaction_support
 from repro.baselines.iterative import iterative_support
 from repro.baselines.prefixspan import PrefixSpan, mine_sequential
 from repro.baselines.sequential import sequence_support
-from repro.baselines.spam import SPAM, mine_sequential_spam
 
 __all__ = [
     "sequence_support",
     "PrefixSpan",
     "mine_sequential",
-    "SPAM",
-    "mine_sequential_spam",
     "CloSpan",
     "BIDE",
     "mine_closed_sequential",

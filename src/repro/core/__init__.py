@@ -13,8 +13,8 @@ The modules in this subpackage implement, in the paper's own vocabulary:
 * :mod:`repro.core.compressed` — the Section III-D ``(i, l1, lm)``
   representation: the constant-space engine the miners run on whenever
   ``store_instances=False`` (the default).
-* :mod:`repro.core.sweep` — the (optionally numpy-vectorized) flat sweep
-  behind compressed instance growth.
+* :mod:`repro.core.sweep` — the flat sweep behind compressed instance
+  growth.
 * :mod:`repro.core.engine` — selection between the full-landmark and the
   compressed engine.
 * :mod:`repro.core.reference` — brute-force reference semantics used as test

@@ -16,9 +16,8 @@ as the full-landmark engine (:mod:`repro.core.support` /
   a trusted :meth:`~CompressedSupportSet.from_arrays` constructor on the
   growth path;
 * :func:`ins_grow_compressed` — Algorithm 2 as a single flat sweep over the
-  columns: the event is resolved to its column getter once per call, position
-  lists are fetched once per sequence run, and the unconstrained sweep is
-  numpy-vectorized when available (:mod:`repro.core.sweep`);
+  columns: the event is resolved to its column getter once per call and
+  position lists are fetched once per sequence run (:mod:`repro.core.sweep`);
 * :func:`sup_comp_compressed` — Algorithm 1 over triples;
 * :func:`compress` / :func:`equivalent` — conversion and equality helpers
   used by the engine-equivalence tests.
@@ -218,9 +217,8 @@ def ins_grow_compressed(
     differs — the last position is all that is needed to extend, the first
     position is carried along unchanged, and no landmark rows are copied.
     The event is resolved to its interned id exactly once per call (one hash
-    of the user object); the unconstrained sweep dispatches through
-    :func:`repro.core.sweep.grow_triples` and is numpy-vectorized for large
-    sets when numpy is importable.
+    of the user object); the sweep itself is
+    :func:`repro.core.sweep.grow_triples`.
     """
     grown_pattern = support_set.pattern.grow(event)
     seqs = support_set._seqs

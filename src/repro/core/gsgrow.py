@@ -12,6 +12,9 @@ grandchild ``P ∘ e ∘ f`` contains ``P ∘ f``, so it is only grown when
 
 from __future__ import annotations
 
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable, Iterator, Sequence as PySequence
 
@@ -61,7 +64,9 @@ class MinerConfig:
         :class:`~repro.db.index.InvertedEventIndex` is passed — the index
         already owns its backend.
     db_dir:
-        Directory for a ``"disk"`` backend (a temp dir when ``None``).
+        Parent directory for a ``"disk"`` backend.  Each index the miner
+        builds gets a fresh private directory under it (a temp dir when
+        ``None``), removed when the mine ends.
     spill_budget:
         Per-support-set byte budget: any DFS frontier set whose columns
         exceed it is spilled onto disk (:mod:`repro.core.spill`) and read
@@ -205,7 +210,6 @@ class GSgrow:
         of a long-running mining pass instead of materialising only at the
         end.  Abandoning the generator aborts the traversal.
         """
-        index = self._as_index(database)
         self.stats = MiningStats()
         self._engine = engine_for(self.config.store_instances)
         if self.config.spill_budget is not None:
@@ -215,6 +219,7 @@ class GSgrow:
                 self.config.spill_budget, directory=self.config.spill_dir, obs=self.obs
             )
             self._engine = self._engine.with_spill(policy)
+        index, release = self._as_index(database)
         clock = self.obs.clock
         started = clock()
         dfs_started = None
@@ -239,6 +244,7 @@ class GSgrow:
             self._finish()
             self.stats.phase_seconds["total"] = clock() - started
             self._record_obs()
+            release()
 
     def _record_obs(self) -> None:
         """Mirror this run's counters and phase timings into the registry.
@@ -371,18 +377,41 @@ class GSgrow:
             return sorted(set(self.config.events), key=repr)
         return index.frequent_events(self.config.min_sup)
 
-    def _as_index(self, database) -> InvertedEventIndex:
+    def _as_index(self, database) -> tuple[InvertedEventIndex, Callable[[], None]]:
+        """The index to mine, plus the callable that releases it after the mine.
+
+        A caller's index is the caller's to release.  An index built here
+        from a database gets its own store directory: a disk store reopening
+        one that another index wrote would replay that index's segments.
+        """
         if isinstance(database, InvertedEventIndex):
-            return database
+            return database, lambda: None
         if isinstance(database, SequenceDatabase):
-            return InvertedEventIndex(
-                database,
-                backend=self.config.db_backend,
-                backend_dir=self.config.db_dir,
-            )
+            store_dir = None
+            if self.config.db_backend == "disk" and self.config.db_dir is not None:
+                os.makedirs(self.config.db_dir, exist_ok=True)
+                store_dir = tempfile.mkdtemp(prefix="mine-", dir=self.config.db_dir)
+            try:
+                index = InvertedEventIndex(
+                    database, backend=self.config.db_backend, backend_dir=store_dir
+                )
+            except BaseException:
+                _remove(store_dir)
+                raise
+
+            def release() -> None:
+                index.backend.close()
+                _remove(store_dir)
+
+            return index, release
         raise TypeError(
             f"expected a SequenceDatabase or InvertedEventIndex, got {type(database).__name__}"
         )
+
+
+def _remove(store_dir: str | None) -> None:
+    if store_dir is not None:
+        shutil.rmtree(store_dir, ignore_errors=True)
 
 
 def mine_all(

@@ -13,8 +13,8 @@ and the file is unlinked immediately (the mapping keeps the pages
 reachable; the OS reclaims the space as soon as the set is garbage),
 then the set is rebuilt through its trusted ``from_arrays`` constructor
 with ``memoryview`` columns over the mapping.  Everything downstream
-(growth sweeps, closure border checks, ``numpy.frombuffer``) already
-accepts either column kind — the disk-backed index established that
+(growth sweeps, closure border checks) already accepts either column
+kind — the disk-backed index established that
 contract — so a spilled set is observationally identical to a resident
 one, just paged by the OS instead of held on the heap.  The file is
 written and mapped through :mod:`repro.db.columns`, the column codec that

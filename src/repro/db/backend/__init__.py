@@ -19,9 +19,8 @@ The seam's contract (what the index relies on):
   layer; the store never sees user event objects.
 * :meth:`ColumnStore.get` returns a sorted int64 *column* — either an
   ``array('q')`` or a ``memoryview`` cast to ``'q'``.  Both support
-  ``len``/indexing/iteration/``bisect`` and the buffer protocol, so the
-  vectorized sweep's ``numpy.frombuffer`` zero-copy view keeps working.
-  Callers must never mutate a returned column.
+  ``len``/indexing/iteration/``bisect`` and the buffer protocol.  Callers
+  must never mutate a returned column.
 * :meth:`ColumnStore.column_getter` is the mining hot path's accessor:
   one call per growth step resolves an event, and the returned
   ``i -> column | None`` callable then answers ``get(i, eid)`` for every

@@ -26,11 +26,10 @@ Two properties matter beyond the paper:
   ``__hash__``/``__eq__`` are.  A sweep fetches the event's
   ``backend.column_getter(eid)`` once per growth step and calls it once per
   sequence run.  The columns it (and :meth:`raw_positions_by_id`) returns
-  are guaranteed to be contiguous int64 buffers
-  — ``array('q')`` for the RAM backend, ``memoryview`` columns over mmap'd
-  segments for the disk backend (:mod:`repro.db.backend`): the vectorized
-  sweep (:mod:`repro.core.sweep`) views either zero-copy with
-  ``numpy.frombuffer``, so this is a contract, not an implementation detail.
+  are contiguous int64 buffers — ``array('q')`` for the RAM backend,
+  ``memoryview`` columns over mmap'd segments for the disk backend
+  (:mod:`repro.db.backend`) — and the sweep (:mod:`repro.core.sweep`)
+  bisects either kind directly.
 * **Incremental maintenance** — :meth:`append_sequence` and
   :meth:`extend_sequence` grow the index in place as new data streams in:
   appended events extend the flat ``array('q')`` position lists directly

@@ -21,10 +21,9 @@ from pathlib import Path
 from collections.abc import Iterable
 from typing import Any
 
+from repro.db.columns import PathLike
 from repro.db.database import SequenceDatabase
 from repro.db.sequence import Sequence
-
-PathLike = str | Path
 
 
 # ----------------------------------------------------------------------

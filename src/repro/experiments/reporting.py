@@ -19,9 +19,8 @@ import json
 from pathlib import Path
 from collections.abc import Iterable
 
+from repro.db.columns import PathLike
 from repro.experiments.harness import ExperimentReport
-
-PathLike = str | Path
 
 
 def report_to_json(report: ExperimentReport) -> dict:

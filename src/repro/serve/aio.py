@@ -43,11 +43,10 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from repro.core.constraints import GapConstraint
+from repro.db.columns import PathLike
 from repro.obs import MetricsRegistry
 from repro.serve.core import RequestTicket, ServeCore
 from repro.serve.protocol import MAX_LINE_BYTES, encode_line, error_response
-
-PathLike = str | Path
 
 __all__ = ["PatternServer", "serve"]
 

@@ -52,6 +52,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.core.constraints import GapConstraint
+from repro.db.columns import PathLike
 from repro.db.database import SequenceDatabase
 from repro.db.sequence import as_sequence
 from repro.match.service import PatternMatcher, SequenceScore, score_from_match
@@ -80,8 +81,6 @@ from repro.serve.protocol import (
     score_to_wire,
     top_patterns_to_wire,
 )
-
-PathLike = str | Path
 
 #: The name requests without an ``ns`` field resolve to.
 DEFAULT_NAMESPACE = "default"

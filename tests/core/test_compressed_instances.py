@@ -5,7 +5,6 @@ from array import array
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core import sweep
 from repro.core.compressed import (
     CompressedSupportSet,
     compress,
@@ -105,56 +104,9 @@ class TestFromArrays:
 
 
 class TestSweepBackends:
-    """The numpy and pure-python sweeps must be interchangeable."""
+    """The scalar sweep is the one backend; large sets still match full."""
 
-    EVENTS = "ABC"
-
-    def _chain_agreement(self, db, pattern):
-        index = InvertedEventIndex(db)
-        current = initial_compressed_support_set(index, pattern[0])
-        for event in pattern[1:]:
-            eid = index.event_id(event)
-            if eid >= 0 and len(current.seq_indices_array):
-                out_py = sweep._grow_triples_python(
-                    current.seq_indices_array,
-                    current.firsts_array,
-                    current.lasts_array,
-                    index.backend.column_getter(eid),
-                )
-                out_np = sweep._grow_triples_numpy(
-                    current.seq_indices_array,
-                    current.firsts_array,
-                    current.lasts_array,
-                    index.backend.column_getter(eid),
-                )
-                assert out_np == out_py
-            current = ins_grow_compressed(index, current, event)
-        return current
-
-    @pytest.mark.skipif(not sweep.HAVE_NUMPY, reason="numpy not installed")
-    def test_backends_agree_on_random_growth_chains(self):
-        import random
-
-        for seed in range(6):
-            rng = random.Random(seed)
-            db = SequenceDatabase.from_strings(
-                [
-                    "".join(rng.choice(self.EVENTS) for _ in range(rng.randint(1, 120)))
-                    for _ in range(rng.randint(1, 5))
-                ]
-            )
-            pattern = "".join(rng.choice(self.EVENTS) for _ in range(rng.randint(2, 5)))
-            self._chain_agreement(db, pattern)
-
-    @pytest.mark.skipif(not sweep.HAVE_NUMPY, reason="numpy not installed")
-    def test_numpy_path_taken_for_large_sets_matches_full(self, monkeypatch):
-        monkeypatch.setattr(sweep, "NUMPY_MIN_ROWS", 0)
-        db = SequenceDatabase.from_strings(["ABCABCABCABC" * 8, "ACBACB" * 10])
-        index = InvertedEventIndex(db)
-        assert equivalent(sup_comp(index, "ABCA"), sup_comp_compressed(index, "ABCA"))
-
-    def test_python_fallback_matches_full(self, monkeypatch):
-        monkeypatch.setattr(sweep, "_np", None)
+    def test_python_fallback_matches_full(self):
         db = SequenceDatabase.from_strings(["ABCABCABCABC" * 8, "ACBACB" * 10])
         index = InvertedEventIndex(db)
         assert equivalent(sup_comp(index, "ABCA"), sup_comp_compressed(index, "ABCA"))

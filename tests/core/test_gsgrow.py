@@ -161,3 +161,42 @@ class TestStats:
         assert runs == 2
         for phase in ("prepare", "dfs", "total"):
             assert snapshot["histograms"][f"mine.phase.{phase}.seconds"]["count"] == runs
+
+
+class TestSelfBuiltDiskIndex:
+    """An index the miner builds from a database lives in its own directory.
+
+    ``db_dir`` is the parent of that directory, so mines sharing one
+    ``db_dir`` never replay each other's segments, and the directory goes
+    when the mine ends.
+    """
+
+    DATABASE = SequenceDatabase.from_strings(["AABCDABB", "ABCD", "ABAB"])
+
+    def test_consecutive_mines_in_one_db_dir_match_ram(self, tmp_path):
+        expected = CloGSgrow(2).mine(self.DATABASE).as_dict()
+        for _ in range(2):
+            mined = CloGSgrow(2, db_backend="disk", db_dir=str(tmp_path)).mine(self.DATABASE)
+            assert mined.as_dict() == expected
+        assert list(tmp_path.iterdir()) == []
+
+    def test_db_dir_is_created_and_left_empty(self, tmp_path):
+        db_dir = tmp_path / "missing" / "db"
+        mined = mine_all(self.DATABASE, 2, db_backend="disk", db_dir=str(db_dir))
+        assert mined.as_dict() == mine_all(self.DATABASE, 2).as_dict()
+        assert list(db_dir.iterdir()) == []
+
+    def test_abandoned_mine_removes_its_directory(self, tmp_path):
+        patterns = GSgrow(2, db_backend="disk", db_dir=str(tmp_path)).mine_iter(self.DATABASE)
+        next(patterns)
+        assert len(list(tmp_path.iterdir())) == 1
+        patterns.close()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_callers_index_stays_open(self, tmp_path):
+        index = InvertedEventIndex(self.DATABASE, backend="disk", backend_dir=str(tmp_path))
+        try:
+            first = GSgrow(2).mine(index).as_dict()
+            assert GSgrow(2).mine(index).as_dict() == first
+        finally:
+            index.backend.close()

@@ -1,5 +1,7 @@
 """Tests for the top-level package façade."""
 
+import pytest
+
 import repro
 from repro import api
 
@@ -86,6 +88,16 @@ class TestMineMany:
                 stream.index.backend.close()
         serial = api.mine_many(batch, 2)
         assert [r.as_dict() for r in sharded] == [r.as_dict() for r in serial]
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_disk_backend_in_one_db_dir_matches_ram(self, tmp_path, n_jobs):
+        # Each database's index gets its own directory under db_dir; one
+        # shared store would replay the earlier databases' segments.
+        batch = self._batch()
+        on_disk = api.mine_many(batch, 2, n_jobs=n_jobs, db_backend="disk", db_dir=str(tmp_path))
+        in_ram = api.mine_many(batch, 2)
+        assert [r.as_dict() for r in on_disk] == [r.as_dict() for r in in_ram]
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestMineManyTelemetry:
