@@ -12,7 +12,9 @@ CloGSgrow is GSgrow with two modifications at every frequent DFS node
 Both checks are implemented in :mod:`repro.core.closure`; this module wires
 them into the DFS inherited from :class:`~repro.core.gsgrow.GSgrow`.  The
 checker's path store holds the per-node state — grown children, decision,
-probe sets — only while the node is on the live DFS path.
+probe sets — only while the node is on the live DFS path.  Without a gap
+constraint the checker filters its probes with the mine's 2-gram table,
+the one that also picks which children the DFS grows.
 """
 
 from __future__ import annotations
@@ -77,6 +79,7 @@ class CloGSgrow(GSgrow):
             enable_lbcheck=self.enable_lbcheck,
             constraint=self.config.constraint,
             engine=self._engine,
+            pairs=self._pairs,
         )
 
     def _finish(self) -> None:
@@ -84,6 +87,7 @@ class CloGSgrow(GSgrow):
         checker = self._checker
         if checker is not None:
             self.stats.closure_grow_calls = checker.grow_calls
+            self.stats.grow_rows += checker.grow_rows
             self.stats.initial_calls = checker.initial_calls
             self._checker = None
 
@@ -175,11 +179,12 @@ class CloGSgrow(GSgrow):
                 support_set, prefix_sets, append_bound=append_bound, need_pruning=False
             )
         else:
-            # Grow each child once: the DFS growth step (`_grow_child`) takes
-            # the sets and CCheck their supports.
+            # Grow each child the DFS will visit once: the DFS growth step
+            # (`_grow_child`) takes the sets and CCheck their supports.
             append_supports: dict[Event, int] = {}
-            for event in events:
+            for event in self._growable(support_set.pattern, events):
                 self.stats.dfs_grow_calls += 1
+                self.stats.grow_rows += support_set.support
                 grown = self._engine.grow(
                     index, support_set, event, constraint=self.config.constraint
                 )

@@ -24,6 +24,14 @@ least ``sup(P)``: any extension containing a rarer event has strictly smaller
 support (Apriori), so the restriction never misses an equal-support
 extension.  This keeps the check exact.
 
+The same argument holds for 2-grams.  An extension that places ``e'`` right
+after ``a`` or right before ``b`` contains the 2-gram ``a e'`` or ``e' b``,
+so its support is at most that 2-gram's.  Without a gap constraint every
+probe, append, insert or prepend, is grown only if its new 2-grams reach
+``sup(P)``.  Their supports come from one table per mine, built in one scan
+of the index (:func:`~repro.core.support.pair_supports`); the miner's DFS
+picks its children with the same table.
+
 The miner can narrow the candidates further with an *append bound*.  Let
 ``P = Q ∘ em``.  Without a gap constraint the DFS knows which events ``e``
 make ``Q ∘ e`` frequent (``P``'s frequent siblings); for every other ``e``,
@@ -51,9 +59,7 @@ while it can still be read:
   :class:`PathNode` per prefix of the pattern last checked, and a probe
   resumes from the deepest intermediate already there.  The DFS parks a
   node's grown append children on the same node, and an append child
-  ``e1..eg e'`` is exactly a probe's first intermediate;
-* the supports of 2-event patterns, which the insertion probes use as an
-  Apriori filter, sit in one table per checker, read a row per gap.
+  ``e1..eg e'`` is exactly a probe's first intermediate.
 
 A leftmost support set depends only on its pattern (and the checker's index
 and constraint), so these pattern-keyed memos cannot change a decision; the
@@ -73,7 +79,7 @@ from repro.core.engine import (
     SupportSetLike,
 )
 from repro.core.pattern import Pattern
-from repro.core.support import SupportSet
+from repro.core.support import SupportSet, pair_supports
 from repro.db.index import InvertedEventIndex
 from repro.db.sequence import Event
 
@@ -163,6 +169,12 @@ class ClosureChecker:
         When omitted, :meth:`check` detects the engine from the type of the
         support set it is handed, so mixed callers can never grow a
         compressed set through the full-landmark sweep (or vice versa).
+    pairs:
+        ``pairs[a][b]`` is ``sup(a b)``, as :func:`~repro.core.support.pair_supports`
+        returns it, over at least every event whose total count reaches the
+        supports checked (the miner passes its own table).  When omitted
+        the checker builds one over its alphabet.  Ignored under a gap
+        constraint, which breaks the Apriori property the table bounds with.
 
     Attributes
     ----------
@@ -172,6 +184,8 @@ class ClosureChecker:
         :meth:`check` calls too).
     grow_calls, initial_calls:
         ``engine.grow`` / ``engine.initial`` calls this checker has made.
+    grow_rows:
+        Rows of the parent sets those ``engine.grow`` calls swept.
     """
 
     def __init__(
@@ -181,6 +195,7 @@ class ClosureChecker:
         enable_lbcheck: bool = True,
         constraint: GapConstraint | None = None,
         engine: SupportEngine | None = None,
+        pairs: dict[Event, dict[Event, int]] | None = None,
     ):
         self.index = index
         self.enable_lbcheck = enable_lbcheck
@@ -191,21 +206,25 @@ class ClosureChecker:
             ((event, index.total_count(event)) for event in index.alphabet()),
             key=lambda item: repr(item[0]),
         )
-        # Lazily filled supports of 2-event patterns, used as an Apriori
-        # filter: any extension containing the 2-gram (a, b) has support at
-        # most sup(ab), so candidates whose neighbouring 2-grams are already
-        # below the target support can be skipped without growing them.
-        # Each support is stored twice, `_pairs_ending[b][a]` and
-        # `_pairs_starting[a][b]`, so a probe loop over the inserted event
-        # reads one row per gap.  Supports are representation-independent,
-        # so the table is shared even if callers alternate engines.
-        self._pairs_ending: dict[Event, dict[Event, int]] = {}
-        self._pairs_starting: dict[Event, dict[Event, int]] = {}
+        # The 2-gram filter's supports, both ways round: `_following[a][b]`
+        # and `_preceding[b][a]` are sup(a b), so a probe loop over the
+        # inserted event reads one row per gap.  Supports are
+        # representation-independent, so callers may alternate engines.
+        self._following: dict[Event, dict[Event, int]] | None = None
+        self._preceding: dict[Event, dict[Event, int]] = {}
+        if constraint is None:
+            if pairs is None:
+                pairs = pair_supports(index, [event for event, _ in self._event_totals])
+            self._following = pairs
+            for first, row in pairs.items():
+                for second, support in row.items():
+                    self._preceding.setdefault(second, {})[first] = support
         # Size-1 sets, keyed (engine, event): the representations differ.
         self._initial_sets: dict[tuple[SupportEngine, Event], SupportSetLike] = {}
         self.path: list[PathNode] = []
         self._path_engine: SupportEngine | None = None
         self.grow_calls = 0
+        self.grow_rows = 0
         self.initial_calls = 0
 
     # ------------------------------------------------------------------
@@ -265,15 +284,17 @@ class ClosureChecker:
         # They can reveal non-closedness but never allow border pruning.
         append_supports = append_supports or {}
         m = len(pattern)
-        if m == 1:
-            # The appends of a size-1 pattern are 2-event patterns: their
-            # supports seed the 2-gram table.
-            for event, appended_support in append_supports.items():
-                self._record_pair(pattern.at(1), event, appended_support)
+        following = self._following
+        pair_filter = following is not None
+        if pair_filter:
+            # P ∘ e contains the 2-gram (e_m, e): sup(e_m e), keyed by e.
+            from_last = following.get(pattern.at(m), {})
         for event in in_bound:
             if event in append_supports:
                 appended_support = append_supports[event]
             else:
+                if pair_filter and from_last.get(event, 0) < support:
+                    continue
                 decision.extensions_evaluated += 1
                 key = node.key(m, event)
                 appended = node.sets.get(key)
@@ -293,32 +314,20 @@ class ClosureChecker:
             return decision
 
         border = support_set.border_arrays()
-        pair_filter = self.constraint is None
         for gap in range(m):  # gap g inserts between e_g and e_{g+1} (0 = prepend)
-            before = pattern.at(gap) if gap >= 1 else None
-            after = pattern.at(gap + 1)
             if pair_filter:
-                ending_at_after = self._pairs_ending.setdefault(after, {})
-                if before is not None:
-                    starting_at_before = self._pairs_starting.setdefault(before, {})
+                # sup(e' e_{gap+1}) and sup(e_gap e'), keyed by e'.
+                to_next = self._preceding.get(pattern.at(gap + 1), {})
+                from_previous = following.get(pattern.at(gap), {}) if gap >= 1 else None
             # The last gap's insertions contain `Q ∘ e'`: only the bound's events.
             for event in in_bound if gap == m - 1 else candidates:
-                # Apriori 2-gram filter: the extension contains the 2-grams
-                # (e_gap, e') and (e', e_{gap+1}); if either has support below
-                # the target, the extension cannot reach it.  (Skipped under a
-                # gap constraint, where support is not monotone in sub-patterns.)
-                if pair_filter:
-                    pair = ending_at_after.get(event)
-                    if pair is None:
-                        pair = self._pair_support(engine, event, after)
-                    if pair < support:
-                        continue
-                    if before is not None:
-                        pair = starting_at_before.get(event)
-                        if pair is None:
-                            pair = self._pair_support(engine, before, event)
-                        if pair < support:
-                            continue
+                # The 2-gram filter: the extension contains (e', e_{gap+1})
+                # and, unless it prepends, (e_gap, e').
+                if pair_filter and (
+                    to_next.get(event, 0) < support
+                    or (from_previous is not None and from_previous.get(event, 0) < support)
+                ):
+                    continue
                 decision.extensions_evaluated += 1
                 extension_set = self._insertion_support_set(
                     engine, prefix_sets, gap, event, stop_below=support
@@ -400,18 +409,8 @@ class ClosureChecker:
     ) -> SupportSetLike:
         """One counted ``engine.grow`` under the checker's constraint."""
         self.grow_calls += 1
+        self.grow_rows += support_set.support
         return engine.grow(self.index, support_set, event, constraint=self.constraint)
-
-    def _pair_support(self, engine: SupportEngine, first: Event, second: Event) -> int:
-        """Grow the 2-event pattern ``first second`` and record its support."""
-        support = self._grow(engine, self.initial(engine, first), second).support
-        self._record_pair(first, second, support)
-        return support
-
-    def _record_pair(self, first: Event, second: Event, support: int) -> None:
-        """Enter ``sup(first second)`` in both directions of the 2-gram table."""
-        self._pairs_starting.setdefault(first, {})[second] = support
-        self._pairs_ending.setdefault(second, {})[first] = support
 
     def _insertion_support_set(
         self,

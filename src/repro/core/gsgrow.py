@@ -5,9 +5,15 @@ PrefixSpan with the instance-growth operation of Algorithm 2: every DFS node
 carries the leftmost support set of its pattern, so the support of every
 child ``P ∘ e`` is obtained with a single ``INSgrow`` call, and the Apriori
 property (Theorem 1) prunes the traversal as soon as the support drops below
-``min_sup``.  Without a gap constraint it also prunes before growing: a
-grandchild ``P ∘ e ∘ f`` contains ``P ∘ f``, so it is only grown when
-``P ∘ f`` is frequent.
+``min_sup``.  Without a gap constraint it also prunes before growing:
+
+* a grandchild ``P ∘ e ∘ f`` contains ``P ∘ f``, so it is only grown when
+  ``P ∘ f`` is frequent (the sibling bound);
+* a child ``P ∘ f`` of ``P = … x`` contains the 2-gram ``x f``, so it is only
+  grown when ``sup(x f) >= min_sup``.  Each mine reads the supports of all
+  2-grams of its frequent events off one scan of the index
+  (:func:`~repro.core.support.pair_supports`), and CloGSgrow's closure
+  checker filters its probes with the same table.
 """
 
 from __future__ import annotations
@@ -20,7 +26,9 @@ from collections.abc import Callable, Iterable, Iterator, Sequence as PySequence
 
 from repro.core.constraints import GapConstraint
 from repro.core.engine import SupportEngine, SupportSetLike, engine_for
+from repro.core.pattern import Pattern
 from repro.core.results import MinedPattern, MiningResult
+from repro.core.support import pair_supports
 from repro.db.database import SequenceDatabase
 from repro.db.index import InvertedEventIndex
 from repro.db.sequence import Event
@@ -121,13 +129,16 @@ class MiningStats:
     closure_grow_calls: int = 0
     #: ``SupportEngine.initial`` calls (size-1 sets) made by the whole run.
     initial_calls: int = 0
+    #: Rows swept by every ``SupportEngine.grow`` call (DFS plus closure
+    #: checker): the size of the parent set each grow walks.
+    grow_rows: int = 0
     nodes_pruned_infrequent: int = 0
     nodes_pruned_lbcheck: int = 0
     closure_checks: int = 0
     extension_evaluations: int = 0
     #: Wall-clock (monotonic) seconds per mining phase: ``prepare`` (index +
-    #: candidate events + closure-checker build), ``dfs`` (the traversal)
-    #: and ``total``.
+    #: 2-gram table + candidate events + closure-checker build), ``dfs`` (the
+    #: traversal) and ``total``.
     phase_seconds: dict = field(default_factory=dict)
 
     @property
@@ -142,6 +153,7 @@ class MiningStats:
             "closure_grow_calls": self.closure_grow_calls,
             "dfs_grow_calls": self.dfs_grow_calls,
             "extension_evaluations": self.extension_evaluations,
+            "grow_rows": self.grow_rows,
             "initial_calls": self.initial_calls,
             "ins_grow_calls": self.ins_grow_calls,
             "nodes_pruned_infrequent": self.nodes_pruned_infrequent,
@@ -174,6 +186,9 @@ class GSgrow:
         self.obs = obs if obs is not None else MetricsRegistry()
         self._engine: SupportEngine = engine_for(self.config.store_instances)
         self._event_count = 0
+        # One mine's 2-gram supports (`pair_supports`); None under a gap
+        # constraint, which breaks the Apriori property they bound with.
+        self._pairs: dict[Event, dict[Event, int]] | None = None
 
     # ------------------------------------------------------------------
     # Public API
@@ -224,6 +239,8 @@ class GSgrow:
         started = clock()
         dfs_started = None
         try:
+            if self.config.constraint is None:
+                self._pairs = pair_supports(index, index.frequent_events(self.config.min_sup))
             self._prepare(index)
             events = self._candidate_events(index)
             self._event_count = len(events)
@@ -242,6 +259,7 @@ class GSgrow:
             if dfs_started is not None:
                 self.stats.phase_seconds["dfs"] = clock() - dfs_started
             self._finish()
+            self._pairs = None
             self.stats.phase_seconds["total"] = clock() - started
             self._record_obs()
             release()
@@ -263,6 +281,7 @@ class GSgrow:
             obs.counter("mine.nodes_visited").inc(stats.nodes_visited)
             obs.counter("mine.grow.dfs").inc(stats.dfs_grow_calls)
             obs.counter("mine.grow.closure").inc(stats.closure_grow_calls)
+            obs.counter("mine.grow.rows").inc(stats.grow_rows)
             obs.counter("mine.initial").inc(stats.initial_calls)
             obs.counter("mine.nodes_pruned_infrequent").inc(stats.nodes_pruned_infrequent)
             obs.counter("mine.nodes_pruned_lbcheck").inc(stats.nodes_pruned_lbcheck)
@@ -292,11 +311,13 @@ class GSgrow:
             return
         if self.config.max_length is not None and len(support_set.pattern) >= self.config.max_length:
             return
-        # Children over events `_child_events` left out are infrequent too.
-        self.stats.nodes_pruned_infrequent += self._event_count - len(events)
+        # Children over events `_child_events` or `_growable` left out are
+        # infrequent too.
+        growable = self._growable(support_set.pattern, events)
+        self.stats.nodes_pruned_infrequent += self._event_count - len(growable)
         frequent: list[Event] = []
         children: list[SupportSetLike] = []
-        for event in events:
+        for event in growable:
             grown = self._grow_child(index, support_set, event)
             if grown.support < self.config.min_sup:
                 self.stats.nodes_pruned_infrequent += 1
@@ -332,11 +353,28 @@ class GSgrow:
         """
         return frequent if self.config.constraint is None else events
 
+    def _growable(self, pattern: Pattern, events: list[Event]) -> list[Event]:
+        """The events ``f`` of ``events`` whose child ``P ∘ f`` is grown.
+
+        ``P ∘ f`` contains the 2-gram ``x f`` of ``P = … x``, so it can only
+        be frequent when ``sup(x f) >= min_sup`` (Theorem 1); the sibling
+        list ``events`` already bounds every other 2-gram ending in ``f``.
+        Without a table (a gap constraint) every event is grown.  CloGSgrow
+        grows its children through the same list.
+        """
+        pairs = self._pairs
+        if pairs is None:
+            return events
+        following = pairs[pattern.at(len(pattern))]
+        min_sup = self.config.min_sup
+        return [event for event in events if following.get(event, 0) >= min_sup]
+
     def _grow_child(
         self, index: InvertedEventIndex, support_set: SupportSetLike, event: Event
     ) -> SupportSetLike:
         """Compute the support set of ``P ∘ e`` (CloGSgrow reuses cached ones)."""
         self.stats.dfs_grow_calls += 1
+        self.stats.grow_rows += support_set.support
         return self._engine.grow(index, support_set, event, constraint=self.config.constraint)
 
     def _accept(

@@ -26,6 +26,7 @@ from repro.core.instance import Instance, is_non_redundant, sort_right_shift
 from repro.core.pattern import Pattern, as_pattern
 from repro.db.database import SequenceDatabase
 from repro.db.index import POSITION_TYPECODE, InvertedEventIndex
+from repro.db.sequence import Event
 
 _EMPTY_ARRAY = array(POSITION_TYPECODE)
 
@@ -287,6 +288,65 @@ def repetitive_support(
     return sup_comp_compressed(
         _as_index(database_or_index), pattern, constraint=constraint
     ).support
+
+
+def pair_supports(
+    index: InvertedEventIndex, events: Iterable[Event]
+) -> dict[Event, dict[Event, int]]:
+    """``sup(a b)`` for every ordered pair of ``events``, from one scan.
+
+    ``table[a][b]`` equals ``repetitive_support(index, (a, b))`` for all
+    ``a`` and ``b`` of ``events``, ``a == b`` included; a pair that never
+    occurs in that order is absent from ``a``'s row (support 0).
+
+    Each sequence's occurrences of ``events`` are read through the
+    :class:`~repro.db.backend.ColumnStore` seam and walked in position
+    order.  Every occurrence of ``b`` is matched to one earlier occurrence
+    of ``a`` that no ``b`` has taken yet.  Like INSgrow's greedy (Lemma 4),
+    this finds a largest set of non-overlapping instances of ``a b`` in the
+    sequence, and supports add up across sequences (Definition 2.5).  Per
+    occurrence the walk visits the distinct events seen before it in its
+    sequence, so it sweeps no more rows than growing every size-1 set by
+    every event would.
+    """
+    events = list(dict.fromkeys(events))
+    width = len(events)
+    # Each occurrence as one int, position * width + event number, grouped
+    # by sequence: sorting a sequence's ints puts its occurrences in order.
+    by_sequence: dict[int, list[int]] = {}
+    for k, event in enumerate(events):
+        eid = index.event_id(event)
+        if eid < 0:
+            continue
+        for i, column in index.backend.occurrences(eid):
+            codes = by_sequence.get(i)
+            if codes is None:
+                codes = by_sequence[i] = []
+            codes.extend([position * width + k for position in column])
+    totals: dict[int, int] = {}  # a * width + b -> support over all sequences
+    for codes in by_sequence.values():
+        codes.sort()
+        seen: dict[int, int] = {}  # a * width -> occurrences of a so far
+        matched: dict[int, int] = {}  # a * width + b -> instances in this sequence
+        # Bound methods hoisted out of the per-occurrence loop.
+        seen_rows, seen_count, matched_count = seen.items, seen.get, matched.get
+        # reprolint: hot-loop
+        for code in codes:
+            b = code % width
+            for row, count in seen_rows():
+                pair = row + b
+                made = matched_count(pair, 0)
+                if made < count:
+                    matched[pair] = made + 1
+            row = b * width
+            seen[row] = seen_count(row, 0) + 1
+        for pair, made in matched.items():
+            totals[pair] = totals.get(pair, 0) + made
+    table: dict[Event, dict[Event, int]] = {event: {} for event in events}
+    for pair, support in totals.items():
+        a, b = divmod(pair, width)
+        table[events[a]][events[b]] = support
+    return table
 
 
 def _as_index(database_or_index) -> InvertedEventIndex:

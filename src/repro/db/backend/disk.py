@@ -336,12 +336,9 @@ class DiskColumnStore:
         self._tail.clear()
         self._tail_bytes = 0
         self._seals += 1
-        self._journal.reset()
-        # Re-journal the sequence count: NEWSEQ records were just dropped
-        # with the rest of the journal, and segments only record sequences
-        # that have positions.
-        self._journal.record_new_sequence(self._count)
-        self._journal.flush()
+        # Keeps the sequence count: segments only record sequences that
+        # have positions.
+        self._journal.reset(self._count)
 
     def _recover_segments(self) -> None:
         """Open existing segment files (oldest first) when reusing a directory."""

@@ -281,7 +281,8 @@ class TailJournal:
     before it is applied in memory; :meth:`replay` reads records back up to
     the last complete one (a torn final record — a crash mid-append — is
     truncated away, never an error).  Sealing a segment resets the journal
-    to its bare header, because the sealed data now lives in the segment.
+    to its header and the sequence count, because the sealed data now lives
+    in the segment.
     """
 
     __slots__ = ("path", "_handle")
@@ -308,10 +309,23 @@ class TailJournal:
         """Push buffered records to the OS (durability point)."""
         self._handle.flush()
 
-    def reset(self) -> None:
-        """Drop every record (called after the tail is sealed into a segment)."""
-        self._handle.seek(_JOURNAL_HEADER.size)
-        self._handle.truncate()
+    def reset(self, sequence_count: int) -> None:
+        """Drop every record but "``sequence_count`` sequences exist".
+
+        Called after the tail is sealed into a segment.  Segments only
+        record sequences that have positions, so the count is journalled
+        again; the header and that record replace the old journal in one
+        atomic write, so a crash leaves either the old journal or the new
+        one, never a bare header that forgets trailing empty sequences.
+        """
+        self._handle.close()
+        atomic_write(
+            self.path,
+            _JOURNAL_HEADER.pack(JOURNAL_MAGIC, FORMAT_VERSION)
+            + _RECORD.pack(sequence_count, NEW_SEQUENCE, 0),
+        )
+        self._handle = open(self.path, "r+b")
+        self._handle.seek(0, os.SEEK_END)
 
     def close(self) -> None:
         """Close the underlying file handle."""

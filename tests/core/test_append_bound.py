@@ -10,9 +10,11 @@ follow any given pattern frequently.
 * **Output.**  CloGSgrow's closed set equals the closed filter of the whole
   frequent universe, mined by a GSgrow that grows every event at every node
   (so it shares none of the bound), one event past the cap.
-* **Work.**  Unconstrained, each node's children are exactly its frequent
-  siblings, so below the roots the DFS grows strictly fewer children than
-  one growing every event; under a gap constraint it grows every event.
+* **Work.**  Unconstrained, each node's child list is exactly its frequent
+  siblings, and of those the node grows exactly the events ``e`` with
+  ``sup(x e) >= min_sup``, where ``x`` is its last event: strictly fewer
+  children than a DFS growing every event.  Under a gap constraint it grows
+  every event.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import pytest
 from repro.core.clogsgrow import CloGSgrow
 from repro.core.constraints import GapConstraint
 from repro.core.gsgrow import GSgrow
+from repro.core.support import repetitive_support
 from repro.datagen.gazelle import GazelleLikeGenerator
 from repro.datagen.ibm import QuestParameters, QuestSequenceGenerator
 from repro.db.index import InvertedEventIndex
@@ -47,10 +50,19 @@ def _database(name: str, seed: int) -> tuple[InvertedEventIndex, int]:
     return InvertedEventIndex(database), 12
 
 
+@cache
+def _pair_support(name: str, seed: int, first, second) -> int:
+    """``sup(first second)`` in one database, from ``supComp``."""
+    return repetitive_support(_database(name, seed)[0], (first, second))
+
+
 class _AllEventsGSgrow(GSgrow):
     """GSgrow growing every event at every node: the frequent universe, no bound."""
 
     def _child_events(self, events, frequent):
+        return events
+
+    def _growable(self, pattern, events):
         return events
 
 
@@ -124,10 +136,9 @@ def test_bounded_mine_is_exact_and_grows_only_frequent_siblings(
     assert miner.mine(index).as_dict() == _expected_closed(name, seed, constraint, cap)
 
     children = miner.child_events
-    # Each child is grown once; an all-events DFS grows the whole alphabet.
-    assert miner.stats.dfs_grow_calls == sum(len(events) for events in children.values())
-    all_events = len(children) * len(miner.alphabet)
     if CONSTRAINTS[constraint] is not None:
+        # Every node grows its whole child list, and that is every event.
+        assert miner.stats.dfs_grow_calls == sum(len(events) for events in children.values())
         assert all(events == miner.alphabet for events in children.values())
         return
     for pattern, events in children.items():
@@ -137,7 +148,11 @@ def test_bounded_mine_is_exact_and_grows_only_frequent_siblings(
             parent = pattern.prefix(len(pattern) - 1)
             siblings = [e for e in children[parent] if parent.grow(e) in children]
             assert events == siblings, pattern
-    if cap > 2:
-        assert miner.stats.dfs_grow_calls < all_events
-    else:  # only the roots grow children, and a root's siblings are every event
-        assert miner.stats.dfs_grow_calls == all_events
+    # Each node P = … x grows exactly its frequent siblings e with
+    # sup(x e) >= min_sup; an all-events DFS grows the whole alphabet.
+    grown = sum(
+        sum(1 for e in events if _pair_support(name, seed, pattern[-1], e) >= min_sup)
+        for pattern, events in children.items()
+    )
+    assert miner.stats.dfs_grow_calls == grown
+    assert miner.stats.dfs_grow_calls < len(children) * len(miner.alphabet)

@@ -6,6 +6,7 @@ from repro.core.clogsgrow import CloGSgrow, mine_closed
 from repro.core.gsgrow import mine_all
 from repro.core.pattern import Pattern
 from repro.core.reference import closed_patterns_bruteforce
+from repro.core.support import repetitive_support
 from repro.db.database import SequenceDatabase
 
 
@@ -199,7 +200,12 @@ class TestPathScopedState:
             else:
                 parent = pattern.prefix(len(pattern) - 1)
                 assert events == [e for e in visited[parent] if parent.grow(e) in visited]
-        # Uncapped, every visited node grows each of its children once.
-        assert miner.stats.dfs_grow_calls == sum(len(events) for events in visited.values())
+        # Uncapped, every visited node P = … x grows exactly the events e of
+        # its child list with sup(x e) >= min_sup.
+        grown = sum(
+            sum(1 for e in events if repetitive_support(table3, (pattern[-1], e)) >= 2)
+            for pattern, events in visited.items()
+        )
+        assert miner.stats.dfs_grow_calls == grown
         # Growing every event at every node would take more.
         assert miner.stats.dfs_grow_calls < len(visited) * len(miner.roots)

@@ -2,8 +2,9 @@
 
 Each test wraps the support engines' ``grow`` and ``initial`` the way an
 external profiler would (replacing the public attributes), marks the calls
-made inside :meth:`ClosureChecker.check`, mines, and compares those counts
-with :class:`~repro.core.gsgrow.MiningStats` and its registry mirror.
+made inside :meth:`ClosureChecker.check`, mines, and compares those counts,
+and the rows of the parent sets the grows swept, with
+:class:`~repro.core.gsgrow.MiningStats` and its registry mirror.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ class EngineCalls:
     def __init__(self, monkeypatch):
         self.dfs_grows = 0
         self.closure_grows = 0
+        self.rows = 0
         self.initials = 0
         self._checking = 0
         for engine in (COMPRESSED_ENGINE, FULL_LANDMARK_ENGINE):
@@ -32,12 +34,13 @@ class EngineCalls:
         monkeypatch.setattr(ClosureChecker, "check", self._marked_check(ClosureChecker.check))
 
     def _counted_grow(self, grow):
-        def counted(*args, **kwargs):
+        def counted(index, support_set, *args, **kwargs):
             if self._checking:
                 self.closure_grows += 1
             else:
                 self.dfs_grows += 1
-            return grow(*args, **kwargs)
+            self.rows += len(support_set.seq_indices_array)
+            return grow(index, support_set, *args, **kwargs)
 
         return counted
 
@@ -92,9 +95,11 @@ def test_clogsgrow_counts_every_engine_call(
     assert stats.initial_calls == calls.initials > 0
     assert stats.ins_grow_calls == calls.dfs_grows + calls.closure_grows
     assert result.stats["ins_grow_calls"] == stats.ins_grow_calls
+    assert stats.grow_rows == result.stats["grow_rows"] == calls.rows > 0
     counters = obs.snapshot()["counters"]
     assert counters["mine.grow.dfs"] == calls.dfs_grows
     assert counters["mine.grow.closure"] == calls.closure_grows
+    assert counters["mine.grow.rows"] == calls.rows
     assert counters["mine.initial"] == calls.initials
 
 
@@ -109,12 +114,15 @@ def test_size_one_sets_are_built_once_per_event(monkeypatch, database):
 @pytest.mark.parametrize("spill", [False, True], ids=["resident", "spill"])
 def test_gsgrow_has_no_closure_share(monkeypatch, tmp_path, database, spill):
     calls = EngineCalls(monkeypatch)
+    obs = MetricsRegistry()
     options = {"spill_budget": 64, "spill_dir": str(tmp_path)} if spill else {}
-    miner = GSgrow(_min_sup(database), max_length=3, **options)
+    miner = GSgrow(_min_sup(database), max_length=3, obs=obs, **options)
     miner.mine(database)
     assert miner.stats.dfs_grow_calls == calls.dfs_grows > 0
     assert miner.stats.closure_grow_calls == calls.closure_grows == 0
     assert miner.stats.initial_calls == calls.initials > 0
+    assert miner.stats.grow_rows == calls.rows > 0
+    assert obs.snapshot()["counters"]["mine.grow.rows"] == calls.rows
 
 
 def test_closed_mine_does_only_the_bounded_work():
@@ -124,7 +132,10 @@ def test_closed_mine_does_only_the_bounded_work():
     ``CloGSgrow(12, max_length=4)``.  Growing only the appends the Apriori
     bound allows keeps the patterns, nodes, checks and prunes and takes the
     DFS from 28,731 grows to 7,311, the closure checker from 17,790 to 6,029
-    and the extension probes from 18,300 to 6,500.
+    and the extension probes from 18,300 to 6,500.  Growing, and probing,
+    only where the last 2-gram reaches the target then takes the DFS to
+    1,689 grows, the checker to 3,836, the probes to 5,874 and the rows the
+    grows sweep from 222,190 to 81,973.
     """
     params = QuestParameters(D=5, C=20, N=10, S=20)
     database = QuestSequenceGenerator(params, scale=0.02, seed=2).generate()
@@ -134,6 +145,8 @@ def test_closed_mine_does_only_the_bounded_work():
     assert len(result) == stats.patterns_reported == 355
     assert stats.nodes_visited == stats.closure_checks == 711
     assert stats.nodes_pruned_lbcheck == 250
-    assert stats.dfs_grow_calls == 7_311
-    assert stats.closure_grow_calls == 6_029
-    assert stats.extension_evaluations == 6_500
+    assert stats.nodes_pruned_infrequent == 12_831
+    assert stats.dfs_grow_calls == 1_689
+    assert stats.closure_grow_calls == 3_836
+    assert stats.extension_evaluations == 5_874
+    assert stats.grow_rows == 81_973

@@ -386,7 +386,7 @@ class TestCrashRecovery:
 
         seals = 0
 
-        def crashing_reset(journal):
+        def crashing_reset(journal, *args):
             nonlocal seals
             seals += 1
             if seals == crash_at_seal:
@@ -451,6 +451,56 @@ class TestCrashRecovery:
         store.seal()  # resets the journal, re-records the count
         store.flush()
         del store
+        recovered = DiskColumnStore(directory)
+        try:
+            assert recovered.sequence_count() == 2
+            assert list(recovered.get(1, 0)) == [1]
+        finally:
+            recovered.close()
+
+    @pytest.mark.parametrize("crash_at", ["count-record", "journal-write"])
+    def test_crash_inside_seal_keeps_trailing_empty_sequences(
+        self, tmp_path, monkeypatch, crash_at
+    ):
+        """Die inside the journal reset of a seal: the count still reopens.
+
+        ``count-record`` fails any separate "re-record the count" append;
+        ``journal-write`` fails the second file write of the seal (the
+        segment is the first), so the journal is never replaced.
+        """
+
+        class Crash(Exception):
+            pass
+
+        directory = tmp_path / "db"
+        store = DiskColumnStore(directory)
+        store.add_sequence({0: positions_array([1])})
+        store.add_sequence({})  # empty: lives only in the journal
+        store.flush()
+        if crash_at == "count-record":
+
+            def crashing_record(journal, i):
+                raise Crash
+
+            monkeypatch.setattr(TailJournal, "record_new_sequence", crashing_record)
+        else:
+            writes = 0
+            write_bytes = Path.write_bytes
+
+            def crashing_write(path, data):
+                nonlocal writes
+                writes += 1
+                if writes == 2:
+                    raise Crash
+                return write_bytes(path, data)
+
+            monkeypatch.setattr(Path, "write_bytes", crashing_write)
+        with contextlib.suppress(Crash):
+            store.seal()
+        if crash_at == "journal-write":
+            assert writes == 2, "the seal never reached the journal write"
+        del store
+        monkeypatch.undo()
         recovered = DiskColumnStore(directory)
         try:
             assert recovered.sequence_count() == 2

@@ -115,7 +115,7 @@ class TestCommands:
         assert "# profile" in out
         for row in ("phase.prepare", "phase.dfs", "phase.total"):
             assert row in out
-        for counter in ("nodes_visited", "ins_grow_calls", "closure_checks"):
+        for counter in ("nodes_visited", "ins_grow_calls", "grow_rows", "closure_checks"):
             assert counter in out
 
     def test_mine_without_profile_prints_no_table(self, chars_file, capsys):
