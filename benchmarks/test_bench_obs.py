@@ -10,18 +10,26 @@ counts and latency quantiles alongside the timings.
 
 Second, pin the overhead contract: instrumentation threaded through the
 miners must be effectively free when nobody reads it.  The hot path keeps
-plain dataclass counters and mirrors them into the registry once per run,
-so an enabled registry and a disabled one must mine at the same speed; the
-bar is asserted loosely (CI noise) and both timings land in ``extra_info``.
+plain dataclass counters and mirrors them into the registry once per run.
+Tier-1 asserts that mechanism with exact counts: the miner reads the clock
+as often for the two-sequence Table III mine as for the 711-node Quest
+mine, whether the registry is enabled or not; a disabled registry records
+no instrument; and a traced mine records one span per run, whatever the
+database, and drops none.  The wall-clock bars (an enabled registry, and a
+trace recorder, mine at disabled-registry speed) are skipped in tier-1:
+``REPRO_WALLCLOCK_GATES=1`` runs them (CI's wall-clock job does, retrying
+once), and both timings land in ``extra_info``.
 """
 
 import json
+import os
 import time
 
 import pytest
 
 from repro.core.clogsgrow import CloGSgrow
 from repro.datagen.ibm import QuestParameters, QuestSequenceGenerator
+from repro.db.database import SequenceDatabase
 from repro.match.store import PatternStore
 from repro.obs import MetricsRegistry, TraceRecorder
 from repro.serve import PatternServer
@@ -36,11 +44,33 @@ MAX_OVERHEAD_RATIO = 1.10
 #: enabled metrics cost.
 MAX_TRACING_OVERHEAD_RATIO = 1.10
 
+#: Whether to run the wall-clock overhead bars (tier-1 leaves them out: a
+#: loaded host can sink one run whatever the code does).
+WALLCLOCK_GATES = os.environ.get("REPRO_WALLCLOCK_GATES") == "1"
+
+wallclock_gate = pytest.mark.skipif(
+    not WALLCLOCK_GATES, reason="wall-clock gate: set REPRO_WALLCLOCK_GATES=1"
+)
+
+#: Clock reads of one mine: the start and end of ``prepare``, of ``dfs``
+#: and of the whole run share them, five in all.
+CLOCK_READS_PER_MINE = 5
+
 
 @pytest.fixture(scope="module")
 def quest_database():
     params = QuestParameters(D=5, C=20, N=10, S=20)
     return QuestSequenceGenerator(params, scale=0.02, seed=2).generate()
+
+
+def _table3():
+    """The Table III running example: two sequences, a 32-node closed mine."""
+    return SequenceDatabase.from_strings(["ABCACBDDB", "ACDBACADD"])
+
+
+def _mines(quest_database):
+    """(database, min_sup) of a tiny and of the 711-node benchmark closed mine."""
+    return [(_table3(), 2), (quest_database, 12)]
 
 
 def test_clogsgrow_counters_in_smoke_json(benchmark, quest_database):
@@ -63,6 +93,63 @@ def test_clogsgrow_counters_in_smoke_json(benchmark, quest_database):
     )
 
 
+def _counters(stats: dict) -> dict:
+    """A run's ``MiningResult.stats`` without its wall-clock phase durations."""
+    return {key: value for key, value in stats.items() if key != "phase_seconds"}
+
+
+def test_the_miner_reads_the_clock_per_run_not_per_node(quest_database):
+    """Clock reads do not grow with the DFS, and an enabled registry adds none."""
+    reads = []
+    nodes = []
+    for database, min_sup in _mines(quest_database):
+        for enabled in (False, True):
+            ticks = [0]
+
+            def clock():
+                ticks[0] += 1
+                return float(ticks[0])
+
+            miner = CloGSgrow(
+                min_sup, max_length=4, obs=MetricsRegistry(enabled=enabled, clock=clock)
+            )
+            miner.mine(database)
+            reads.append(ticks[0])
+            nodes.append(miner.stats.nodes_visited)
+    assert nodes == [32, 32, 711, 711]
+    assert reads == [CLOCK_READS_PER_MINE] * 4
+
+
+def test_disabled_registry_records_no_instrument(quest_database):
+    """A disabled registry stays empty; the run's own counters do not change."""
+    for database, min_sup in _mines(quest_database):
+        disabled = MetricsRegistry(enabled=False)
+        enabled = MetricsRegistry()
+        quiet = CloGSgrow(min_sup, max_length=4, obs=disabled).mine(database)
+        loud = CloGSgrow(min_sup, max_length=4, obs=enabled).mine(database)
+        assert disabled.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
+        assert quiet.as_dict() == loud.as_dict()
+        counters = _counters(quiet.stats)
+        assert counters == _counters(loud.stats)
+        mirrored = enabled.snapshot()["counters"]
+        assert mirrored["mine.runs"] == 1
+        assert mirrored["mine.nodes_visited"] == counters["nodes_visited"]
+        assert mirrored["mine.closure_checks"] == counters["closure_checks"]
+        assert mirrored["mine.grow.rows"] == counters["grow_rows"]
+
+
+def test_traced_mine_records_one_span_per_run(quest_database):
+    """Tracing touches mining once per run (the worker span), never per DFS node."""
+    for database, min_sup in _mines(quest_database):
+        recorder = TraceRecorder()
+        obs = MetricsRegistry(recorder=recorder)
+        with obs.span("mine.worker.seconds"):
+            CloGSgrow(min_sup, max_length=4, obs=obs).mine(database)
+        assert [span.name for span in recorder.spans()] == ["mine.worker.seconds"]
+        assert (recorder.total, recorder.dropped) == (1, 0)
+
+
+@wallclock_gate
 def test_disabled_instrumentation_is_free(benchmark, quest_database):
     """Enabled registry mines at disabled-registry speed (counters stay local)."""
 
@@ -90,6 +177,7 @@ def test_disabled_instrumentation_is_free(benchmark, quest_database):
     assert stats["overhead_ratio"] <= MAX_OVERHEAD_RATIO
 
 
+@wallclock_gate
 def test_enabled_tracing_costs_what_metrics_cost(benchmark, quest_database):
     """A trace recorder on the registry adds no per-node cost to mining.
 
@@ -124,8 +212,6 @@ def test_enabled_tracing_costs_what_metrics_cost(benchmark, quest_database):
     stats = benchmark.pedantic(compare, rounds=1, iterations=1)
     benchmark.extra_info.update(stats)
     assert stats["tracing_overhead_ratio"] <= MAX_TRACING_OVERHEAD_RATIO
-    assert stats["trace.spans.dropped"] == 0
-    assert 0 < stats["trace.spans.per_run"] < 64
 
 
 def test_serve_stats_in_smoke_json(benchmark, quest_database, tmp_path):

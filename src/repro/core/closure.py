@@ -24,13 +24,24 @@ least ``sup(P)``: any extension containing a rarer event has strictly smaller
 support (Apriori), so the restriction never misses an equal-support
 extension.  This keeps the check exact.
 
-The same argument holds for 2-grams.  An extension that places ``e'`` right
-after ``a`` or right before ``b`` contains the 2-gram ``a e'`` or ``e' b``,
-so its support is at most that 2-gram's.  Without a gap constraint every
+The same argument holds for 2-grams, and in each sequence on its own.  An
+extension that places ``e'`` right after ``a`` or right before ``b``
+contains the 2-gram ``a e'`` or ``e' b``, so its support is at most that
+2-gram's, in total and in every sequence ``s``: Theorem 1 holds per
+sequence, and supports add across sequences (Definition 2.5).  An
+extension ``Q`` of ``P`` also has ``sup_s(Q) <= sup_s(P)`` in each
+sequence, so ``sup(Q) = sup(P)`` only if ``sup_s(Q) = sup_s(P)`` in every
+one.  A probe one of whose new 2-grams ``g`` has ``sup_s(g) < sup_s(P)`` in
+some sequence of ``P`` can therefore witness neither non-closedness
+(Theorem 4) nor border pruning (Theorem 5).  Without a gap constraint every
 probe, append, insert or prepend, is grown only if its new 2-grams reach
-``sup(P)``.  Their supports come from one table per mine, built in one scan
-of the index (:func:`~repro.core.support.pair_supports`); the miner's DFS
-picks its children with the same table.
+``sup(P)`` in total and ``sup_s(P)`` in each of ``P``'s sequences.  The
+counts come from one table per mine, built in one scan of the index
+(:func:`~repro.core.support.pair_supports`); the miner's DFS picks its
+children with the same table's totals.  ``P``'s own counts are taken once
+per check, at the first probe that passes the totals test, and the
+sequences where ``P`` has one instance need no count comparison: any
+occurrence of ``g`` there covers it.
 
 The miner can narrow the candidates further with an *append bound*.  Let
 ``P = Q ∘ em``.  Without a gap constraint the DFS knows which events ``e``
@@ -68,8 +79,10 @@ path scope only bounds their memory.
 
 from __future__ import annotations
 
-from collections.abc import Collection
+from collections import Counter
+from collections.abc import Collection, KeysView
 from dataclasses import dataclass
+from operator import ge
 
 from repro.core.constraints import GapConstraint
 from repro.core.engine import (
@@ -79,7 +92,7 @@ from repro.core.engine import (
     SupportSetLike,
 )
 from repro.core.pattern import Pattern
-from repro.core.support import SupportSet, pair_supports
+from repro.core.support import PairCounts, SupportSet, pair_supports
 from repro.db.index import InvertedEventIndex
 from repro.db.sequence import Event
 
@@ -150,6 +163,36 @@ class PathNode:
         return gap, event
 
 
+class _PerSequence:
+    """``sup_s(P)`` of the pattern ``P`` being checked, for every sequence ``s``.
+
+    :meth:`covered_by` is the per-sequence 2-gram test.  ``P``'s counts are
+    taken at its first call.  Most of ``P``'s sequences hold one instance,
+    which any occurrence of the 2-gram covers, so after a C-level subset
+    test of the sequence sets only the sequences with two or more instances
+    compare counts.
+    """
+
+    __slots__ = ("support_set", "sequences", "dense", "needed")
+
+    def __init__(self, support_set: SupportSetLike) -> None:
+        self.support_set = support_set
+        self.sequences: KeysView[int] | None = None
+        self.dense: list[int] = []
+        self.needed: list[int] = []
+
+    def covered_by(self, pair: PairCounts) -> bool:
+        """True if ``sup_s(a b) >= sup_s(P)`` in every sequence ``s`` of ``P``."""
+        if self.sequences is None:
+            counts = Counter(self.support_set.seq_indices_array)
+            self.sequences = counts.keys()
+            self.dense = [seq for seq, count in counts.items() if count > 1]
+            self.needed = [counts[seq] for seq in self.dense]
+        return self.sequences <= pair.keys() and all(
+            map(ge, map(pair.__getitem__, self.dense), self.needed)
+        )
+
+
 class ClosureChecker:
     """Evaluates CCheck and LBCheck for the closed-pattern miner.
 
@@ -170,11 +213,12 @@ class ClosureChecker:
         support set it is handed, so mixed callers can never grow a
         compressed set through the full-landmark sweep (or vice versa).
     pairs:
-        ``pairs[a][b]`` is ``sup(a b)``, as :func:`~repro.core.support.pair_supports`
-        returns it, over at least every event whose total count reaches the
-        supports checked (the miner passes its own table).  When omitted
-        the checker builds one over its alphabet.  Ignored under a gap
-        constraint, which breaks the Apriori property the table bounds with.
+        ``pairs[a][b]`` holds ``sup(a b)`` and ``sup_s(a b)`` per sequence,
+        as :func:`~repro.core.support.pair_supports` returns them, over at
+        least every event whose total count reaches the supports checked
+        (the miner passes its own table).  When omitted the checker builds
+        one over its alphabet.  Ignored under a gap constraint, which
+        breaks the Apriori property the table bounds with.
 
     Attributes
     ----------
@@ -195,7 +239,7 @@ class ClosureChecker:
         enable_lbcheck: bool = True,
         constraint: GapConstraint | None = None,
         engine: SupportEngine | None = None,
-        pairs: dict[Event, dict[Event, int]] | None = None,
+        pairs: dict[Event, dict[Event, PairCounts]] | None = None,
     ):
         self.index = index
         self.enable_lbcheck = enable_lbcheck
@@ -206,19 +250,22 @@ class ClosureChecker:
             ((event, index.total_count(event)) for event in index.alphabet()),
             key=lambda item: repr(item[0]),
         )
-        # The 2-gram filter's supports, both ways round: `_following[a][b]`
-        # and `_preceding[b][a]` are sup(a b), so a probe loop over the
-        # inserted event reads one row per gap.  Supports are
-        # representation-independent, so callers may alternate engines.
-        self._following: dict[Event, dict[Event, int]] | None = None
-        self._preceding: dict[Event, dict[Event, int]] = {}
+        # `_candidate_events` by support value.
+        self._candidates: dict[int, list[Event]] = {}
+        # The 2-gram filter's table, both ways round: `_following[a][b]`
+        # and `_preceding[b][a]` are the same `PairCounts` of `a b`, so a
+        # probe loop over the inserted event reads one row per gap.
+        # Supports are representation-independent, so callers may
+        # alternate engines.
+        self._following: dict[Event, dict[Event, PairCounts]] | None = None
+        self._preceding: dict[Event, dict[Event, PairCounts]] = {}
         if constraint is None:
             if pairs is None:
                 pairs = pair_supports(index, [event for event, _ in self._event_totals])
             self._following = pairs
             for first, row in pairs.items():
-                for second, support in row.items():
-                    self._preceding.setdefault(second, {})[first] = support
+                for second, counts in row.items():
+                    self._preceding.setdefault(second, {})[first] = counts
         # Size-1 sets, keyed (engine, event): the representations differ.
         self._initial_sets: dict[tuple[SupportEngine, Event], SupportSetLike] = {}
         self.path: list[PathNode] = []
@@ -287,14 +334,19 @@ class ClosureChecker:
         following = self._following
         pair_filter = following is not None
         if pair_filter:
-            # P ∘ e contains the 2-gram (e_m, e): sup(e_m e), keyed by e.
+            # P ∘ e contains the 2-gram (e_m, e): its counts, keyed by e.
             from_last = following.get(pattern.at(m), {})
+            per_sequence = _PerSequence(support_set)
         for event in in_bound:
             if event in append_supports:
                 appended_support = append_supports[event]
             else:
-                if pair_filter and from_last.get(event, 0) < support:
-                    continue
+                if pair_filter:
+                    counts = from_last.get(event)
+                    if counts is None or counts.support < support:
+                        continue
+                    if not per_sequence.covered_by(counts):
+                        continue
                 decision.extensions_evaluated += 1
                 key = node.key(m, event)
                 appended = node.sets.get(key)
@@ -316,18 +368,26 @@ class ClosureChecker:
         border = support_set.border_arrays()
         for gap in range(m):  # gap g inserts between e_g and e_{g+1} (0 = prepend)
             if pair_filter:
-                # sup(e' e_{gap+1}) and sup(e_gap e'), keyed by e'.
+                # The counts of (e', e_{gap+1}) and (e_gap, e'), keyed by e'.
                 to_next = self._preceding.get(pattern.at(gap + 1), {})
                 from_previous = following.get(pattern.at(gap), {}) if gap >= 1 else None
             # The last gap's insertions contain `Q ∘ e'`: only the bound's events.
             for event in in_bound if gap == m - 1 else candidates:
                 # The 2-gram filter: the extension contains (e', e_{gap+1})
                 # and, unless it prepends, (e_gap, e').
-                if pair_filter and (
-                    to_next.get(event, 0) < support
-                    or (from_previous is not None and from_previous.get(event, 0) < support)
-                ):
-                    continue
+                if pair_filter:
+                    after = to_next.get(event)
+                    if after is None or after.support < support:
+                        continue
+                    before = None
+                    if from_previous is not None:
+                        before = from_previous.get(event)
+                        if before is None or before.support < support:
+                            continue
+                    if not per_sequence.covered_by(after) or (
+                        before is not None and not per_sequence.covered_by(before)
+                    ):
+                        continue
                 decision.extensions_evaluated += 1
                 extension_set = self._insertion_support_set(
                     engine, prefix_sets, gap, event, stop_below=support
@@ -389,7 +449,12 @@ class ClosureChecker:
     # ------------------------------------------------------------------
     def _candidate_events(self, support: int) -> list[Event]:
         """Events that could possibly appear in an equal-support extension."""
-        return [event for event, total in self._event_totals if total >= support]
+        found = self._candidates.get(support)
+        if found is None:
+            found = self._candidates[support] = [
+                event for event, total in self._event_totals if total >= support
+            ]
+        return found
 
     def _engine_for(self, support_set: SupportSetLike) -> SupportEngine:
         """The engine to grow extension probes with.

@@ -14,6 +14,14 @@ property (Theorem 1) prunes the traversal as soon as the support drops below
   2-grams of its frequent events off one scan of the index
   (:func:`~repro.core.support.pair_supports`), and CloGSgrow's closure
   checker filters its probes with the same table.
+
+The table also keeps each 2-gram's support ``sup_s(x f)`` in every sequence
+``s``, a by-product of the scan.  Theorem 1 holds per sequence, and supports
+add across sequences (Definition 2.5), so an extension can have ``P``'s
+support only if each of its 2-grams reaches ``sup_s(P)`` in every sequence
+of ``P``; the checker's probes must pass that test too.  The DFS reads the
+totals alone: the same bound on its children skipped grows but did not
+make the mine faster.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from repro.core.constraints import GapConstraint
 from repro.core.engine import SupportEngine, SupportSetLike, engine_for
 from repro.core.pattern import Pattern
 from repro.core.results import MinedPattern, MiningResult
-from repro.core.support import pair_supports
+from repro.core.support import PairCounts, pair_supports
 from repro.db.database import SequenceDatabase
 from repro.db.index import InvertedEventIndex
 from repro.db.sequence import Event
@@ -188,7 +196,7 @@ class GSgrow:
         self._event_count = 0
         # One mine's 2-gram supports (`pair_supports`); None under a gap
         # constraint, which breaks the Apriori property they bound with.
-        self._pairs: dict[Event, dict[Event, int]] | None = None
+        self._pairs: dict[Event, dict[Event, PairCounts]] | None = None
 
     # ------------------------------------------------------------------
     # Public API
@@ -367,7 +375,11 @@ class GSgrow:
             return events
         following = pairs[pattern.at(len(pattern))]
         min_sup = self.config.min_sup
-        return [event for event in events if following.get(event, 0) >= min_sup]
+        return [
+            event
+            for event in events
+            if event in following and following[event].support >= min_sup
+        ]
 
     def _grow_child(
         self, index: InvertedEventIndex, support_set: SupportSetLike, event: Event

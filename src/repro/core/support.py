@@ -20,6 +20,7 @@ support of a single pattern.
 from __future__ import annotations
 
 from array import array
+from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence as PySequence
 
 from repro.core.instance import Instance, is_non_redundant, sort_right_shift
@@ -290,14 +291,29 @@ def repetitive_support(
     ).support
 
 
+class PairCounts(dict[int, int]):
+    """``sup_s(a b)`` of one ordered pair, keyed by sequence index ``s``.
+
+    Only the sequences where ``a b`` occurs are keys.  :attr:`support` is
+    the pair's repetitive support ``sup(a b)``, the sum of the values
+    (Definition 2.5).
+    """
+
+    __slots__ = ("support",)
+
+    support: int
+
+
 def pair_supports(
     index: InvertedEventIndex, events: Iterable[Event]
-) -> dict[Event, dict[Event, int]]:
-    """``sup(a b)`` for every ordered pair of ``events``, from one scan.
+) -> dict[Event, dict[Event, PairCounts]]:
+    """``sup(a b)`` and ``sup_s(a b)`` for every ordered pair of ``events``, from one scan.
 
-    ``table[a][b]`` equals ``repetitive_support(index, (a, b))`` for all
+    ``table[a][b].support`` equals ``repetitive_support(index, (a, b))``
+    and ``table[a][b][s]`` its support in the one sequence ``S_s``, for all
     ``a`` and ``b`` of ``events``, ``a == b`` included; a pair that never
-    occurs in that order is absent from ``a``'s row (support 0).
+    occurs in that order is absent from ``a``'s row (support 0), and a
+    sequence where it never occurs from the pair's :class:`PairCounts`.
 
     Each sequence's occurrences of ``events`` are read through the
     :class:`~repro.db.backend.ColumnStore` seam and walked in position
@@ -323,8 +339,8 @@ def pair_supports(
             if codes is None:
                 codes = by_sequence[i] = []
             codes.extend([position * width + k for position in column])
-    totals: dict[int, int] = {}  # a * width + b -> support over all sequences
-    for codes in by_sequence.values():
+    counted: defaultdict[int, PairCounts] = defaultdict(PairCounts)  # a * width + b
+    for i, codes in by_sequence.items():
         codes.sort()
         seen: dict[int, int] = {}  # a * width -> occurrences of a so far
         matched: dict[int, int] = {}  # a * width + b -> instances in this sequence
@@ -341,11 +357,12 @@ def pair_supports(
             row = b * width
             seen[row] = seen_count(row, 0) + 1
         for pair, made in matched.items():
-            totals[pair] = totals.get(pair, 0) + made
-    table: dict[Event, dict[Event, int]] = {event: {} for event in events}
-    for pair, support in totals.items():
+            counted[pair][i] = made
+    table: dict[Event, dict[Event, PairCounts]] = {event: {} for event in events}
+    for pair, counts in counted.items():
+        counts.support = sum(counts.values())
         a, b = divmod(pair, width)
-        table[events[a]][events[b]] = support
+        table[events[a]][events[b]] = counts
     return table
 
 

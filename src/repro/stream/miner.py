@@ -231,7 +231,12 @@ class StreamStats:
     evictions: int = 0
     refreshes: int = 0
     shards_remined: int = 0
+    #: ``repetitive_support`` calls of the merge's gap-fills plus the closed
+    #: filter's witness confirmations (the latter alone: :attr:`witness_calls`).
     sup_comp_calls: int = 0
+    #: ``repetitive_support`` calls that confirm a cap-length key's witness
+    #: candidate in one shard.
+    witness_calls: int = 0
     store_saves: int = 0
     store_patches: int = 0
 
@@ -243,6 +248,7 @@ class StreamStats:
             "refreshes": self.refreshes,
             "shards_remined": self.shards_remined,
             "sup_comp_calls": self.sup_comp_calls,
+            "witness_calls": self.witness_calls,
             "store_saves": self.store_saves,
             "store_patches": self.store_patches,
         }
@@ -964,6 +970,7 @@ class StreamMiner:
                     return False
         for shard, need in unknown:
             self.stats.sup_comp_calls += 1
+            self.stats.witness_calls += 1
             support = repetitive_support(shard.stream.index, Pattern(candidate))
             shard.witnesses[candidate] = support
             if support < need:

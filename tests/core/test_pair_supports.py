@@ -2,13 +2,16 @@
 
 * **Oracle.**  :func:`~repro.core.support.pair_supports` must equal
   ``repetitive_support(index, (a, b))`` (``supComp``) for every ordered
-  pair, ``a == b`` included, on RAM and disk indexes.
-* **Mining identity.**  Without a gap constraint the DFS grows, and the
-  closure checker probes, only extensions whose new 2-grams reach the
-  target.  The filter must not change what is mined: a test-local miner
-  whose table lets every pair through (so nothing is filtered) reports the
-  same patterns, visits the same nodes, takes the same decisions and
-  prunes the same subtrees.
+  pair, ``a == b`` included, on RAM and disk indexes, and each of its
+  per-sequence counts ``repetitive_support`` over that one sequence.
+* **Mining identity.**  Without a gap constraint the DFS grows only
+  children whose last 2-gram reaches ``min_sup``, and the closure checker
+  probes only extensions whose new 2-grams reach the checked pattern's
+  support in total and in each of its sequences.  The filter must not
+  change what is mined: a test-local miner whose table lets every pair
+  through in every sequence (so nothing is filtered) reports the same
+  patterns, visits the same nodes, takes the same decisions and prunes the
+  same subtrees.
 * **Gap constraints.**  A constrained mine builds no table and does the
   same work as before the table existed.
 """
@@ -25,7 +28,7 @@ from repro.core import gsgrow as gsgrow_module
 from repro.core.clogsgrow import CloGSgrow
 from repro.core.constraints import GapConstraint
 from repro.core.gsgrow import GSgrow
-from repro.core.support import pair_supports, repetitive_support
+from repro.core.support import PairCounts, pair_supports, repetitive_support
 from repro.datagen.gazelle import GazelleLikeGenerator
 from repro.datagen.ibm import QuestParameters, QuestSequenceGenerator
 from repro.db.database import SequenceDatabase
@@ -40,17 +43,25 @@ databases = st.lists(st.lists(st.sampled_from(EVENTS), max_size=12), min_size=1,
 relaxed = settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
-def _assert_table_matches_sup_comp(index: InvertedEventIndex, events: list) -> None:
+def _support(table, first, second) -> int:
+    counts = table[first].get(second)
+    return 0 if counts is None else counts.support
+
+
+def _assert_table_matches_sup_comp(index: InvertedEventIndex, events: list) -> dict:
     table = pair_supports(index, events)
     assert list(table) == events
     for first in events:
         for second in events:
-            assert table[first].get(second, 0) == repetitive_support(index, (first, second)), (
+            assert _support(table, first, second) == repetitive_support(index, (first, second)), (
                 first,
                 second,
             )
-        # Absent pairs are the zero supports; none is stored.
-        assert all(support > 0 for support in table[first].values())
+        # Absent pairs and sequences are the zero supports; none is stored.
+        for counts in table[first].values():
+            assert min(counts.values()) > 0
+            assert counts.support == sum(counts.values())
+    return table
 
 
 @relaxed
@@ -62,10 +73,21 @@ def test_pair_supports_equal_sup_comp(sequences, backend):
         segment_bytes=64 if backend == "disk" else None,
     )
     try:
-        alphabet = sorted(index.alphabet(), key=repr)
-        _assert_table_matches_sup_comp(index, alphabet + [ABSENT])
+        events = sorted(index.alphabet(), key=repr) + [ABSENT]
+        table = _assert_table_matches_sup_comp(index, events)
     finally:
         index.backend.close()
+    # Each per-sequence count is the pair's support in that one sequence.
+    for i, sequence in enumerate(sequences, start=1):
+        alone = InvertedEventIndex(SequenceDatabase([sequence]))
+        for first in events:
+            for second in events:
+                counts = table[first].get(second, PairCounts())
+                assert counts.get(i, 0) == repetitive_support(alone, (first, second)), (
+                    i,
+                    first,
+                    second,
+                )
 
 
 def test_pair_supports_of_the_benchmark_database():
@@ -82,11 +104,14 @@ def test_pair_supports_of_the_benchmark_database():
 # Mining identity
 # ----------------------------------------------------------------------
 class _PassesEveryPair:
-    """Replaces the mine's table with one where every pair reaches any target."""
+    """Replaces the mine's table with one where every pair reaches any target in every sequence."""
 
     def _prepare(self, index):
         if self._pairs is not None:
-            self._pairs = {first: dict.fromkeys(self._pairs, sys.maxsize) for first in self._pairs}
+            sequences = range(1, index.backend.sequence_count() + 1)
+            every = PairCounts.fromkeys(sequences, sys.maxsize)
+            every.support = sys.maxsize
+            self._pairs = {first: dict.fromkeys(self._pairs, every) for first in self._pairs}
         super()._prepare(index)
 
 

@@ -197,6 +197,51 @@ class TestIncrementalScheduling:
         assert "window=2" in text and "patterns" in text
 
 
+class TestQueryCounters:
+    def test_witness_calls_count_the_witness_confirmations(self, monkeypatch):
+        # Every `repetitive_support` call of the miner is a gap-fill or a
+        # witness confirmation: `sup_comp_calls` counts both, and
+        # `witness_calls` the confirmations alone.
+        from repro.obs import MetricsRegistry
+        from repro.stream import miner as miner_module
+
+        calls = {"gap_fill": 0, "witness": 0}
+        caller: list[str] = []
+        support = miner_module.repetitive_support
+
+        def counted(*args, **kwargs):
+            calls[caller[-1]] += 1
+            return support(*args, **kwargs)
+
+        def marked(name, method):
+            def wrapper(*args, **kwargs):
+                caller.append(name)
+                try:
+                    return method(*args, **kwargs)
+                finally:
+                    caller.pop()
+
+            return wrapper
+
+        monkeypatch.setattr(miner_module, "repetitive_support", counted)
+        monkeypatch.setattr(StreamMiner, "_gap_fill", marked("gap_fill", StreamMiner._gap_fill))
+        monkeypatch.setattr(
+            StreamMiner, "_is_witness", marked("witness", StreamMiner._is_witness)
+        )
+        obs = MetricsRegistry()
+        miner = StreamMiner(10, shard_size=5, window=20, max_length=2, obs=obs)
+        sequences = _markov_sequences(7, n=40)
+        for start in range(0, 40, 5):
+            miner.append_many(sequences[start : start + 5])
+            miner.refresh()
+        assert calls == {"gap_fill": 28, "witness": 196}
+        assert miner.stats.witness_calls == 196
+        assert miner.stats.sup_comp_calls == 28 + 196
+        counters = obs.snapshot()["counters"]
+        assert counters["stream.witness_calls"] == 196
+        assert counters["stream.sup_comp_calls"] == 28 + 196
+
+
 class TestPooledRemine:
     """``n_jobs`` shard re-mining equals the serial path, patterns and stats.
 
