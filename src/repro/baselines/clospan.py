@@ -22,27 +22,16 @@ benchmark and the correctness tests rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro.baselines.prefixspan import (
+    PrefixSpanConfig,
+    Projection,
+    local_event_counts,
+    project,
+)
 from repro.core.pattern import Pattern
 from repro.core.results import MinedPattern, MiningResult
 from repro.db.database import SequenceDatabase
 from repro.db.sequence import Event
-
-#: Pseudo projection: list of (sequence index, suffix start offset).
-Projection = list[tuple[int, int]]
-
-
-@dataclass
-class CloSpanConfig:
-    """Configuration of :class:`CloSpan`."""
-
-    min_sup: int = 2
-    max_length: int | None = None
-
-    def __post_init__(self):
-        if self.min_sup < 1:
-            raise ValueError(f"min_sup must be >= 1, got {self.min_sup}")
 
 
 class CloSpan:
@@ -51,7 +40,7 @@ class CloSpan:
     algorithm_name = "CloSpan"
 
     def __init__(self, min_sup: int = 2, max_length: int | None = None):
-        self.config = CloSpanConfig(min_sup=min_sup, max_length=max_length)
+        self.config = PrefixSpanConfig(min_sup=min_sup, max_length=max_length)
         self.nodes_visited = 0
         self.nodes_pruned_equivalence = 0
 
@@ -85,13 +74,13 @@ class CloSpan:
         self.nodes_visited += 1
         if self.config.max_length is not None and len(prefix) >= self.config.max_length:
             return
-        local_counts = self._local_event_counts(projection, events)
+        local_counts = local_event_counts(projection, events)
         for event, count in sorted(local_counts.items(), key=lambda kv: repr(kv[0])):
             if count < self.config.min_sup:
                 continue
             grown = prefix.grow(event)
             candidates[grown] = count
-            child_projection = self._project(projection, events, event)
+            child_projection = project(projection, events, event)
             signature = self._projection_signature(child_projection, events)
             previous = seen_projections.get(signature)
             if previous is not None:
@@ -107,25 +96,6 @@ class CloSpan:
                     continue
             seen_projections[signature] = (grown, count)
             self._grow(grown, child_projection, events, candidates, seen_projections)
-
-    @staticmethod
-    def _local_event_counts(projection: Projection, events: list[list[Event]]) -> dict[Event, int]:
-        counts: dict[Event, int] = {}
-        for seq_idx, offset in projection:
-            for event in set(events[seq_idx][offset:]):
-                counts[event] = counts.get(event, 0) + 1
-        return counts
-
-    @staticmethod
-    def _project(projection: Projection, events: list[list[Event]], event: Event) -> Projection:
-        projected: Projection = []
-        for seq_idx, offset in projection:
-            seq = events[seq_idx]
-            for pos in range(offset, len(seq)):
-                if seq[pos] == event:
-                    projected.append((seq_idx, pos + 1))
-                    break
-        return projected
 
     @staticmethod
     def _projection_signature(projection: Projection, events: list[list[Event]]) -> tuple[int, int]:

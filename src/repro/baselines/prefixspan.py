@@ -27,7 +27,7 @@ Projection = list[tuple[int, int]]
 
 @dataclass
 class PrefixSpanConfig:
-    """Configuration of :class:`PrefixSpan`."""
+    """Configuration of :class:`PrefixSpan` (and of CloSpan)."""
 
     min_sup: int = 2
     max_length: int | None = None
@@ -74,34 +74,34 @@ class PrefixSpan:
         self.nodes_visited += 1
         if self.config.max_length is not None and len(prefix) >= self.config.max_length:
             return
-        local_counts = self._local_event_counts(projection, events)
+        local_counts = local_event_counts(projection, events)
         for event, count in sorted(local_counts.items(), key=lambda kv: repr(kv[0])):
             if count < self.config.min_sup:
                 continue
             grown = prefix.grow(event)
             result.add(MinedPattern(pattern=grown, support=count))
-            self._grow(grown, self._project(projection, events, event), events, result)
+            self._grow(grown, project(projection, events, event), events, result)
 
-    @staticmethod
-    def _local_event_counts(projection: Projection, events: list[list[Event]]) -> dict[Event, int]:
-        """Sequence counts of events occurring in the projected suffixes."""
-        counts: dict[Event, int] = {}
-        for seq_idx, offset in projection:
-            for event in set(events[seq_idx][offset:]):
-                counts[event] = counts.get(event, 0) + 1
-        return counts
 
-    @staticmethod
-    def _project(projection: Projection, events: list[list[Event]], event: Event) -> Projection:
-        """Project on ``event``: keep the suffix after its first occurrence."""
-        projected: Projection = []
-        for seq_idx, offset in projection:
-            seq = events[seq_idx]
-            for pos in range(offset, len(seq)):
-                if seq[pos] == event:
-                    projected.append((seq_idx, pos + 1))
-                    break
-        return projected
+def local_event_counts(projection: Projection, events: list[list[Event]]) -> dict[Event, int]:
+    """Sequence counts of events occurring in the projected suffixes."""
+    counts: dict[Event, int] = {}
+    for seq_idx, offset in projection:
+        for event in set(events[seq_idx][offset:]):
+            counts[event] = counts.get(event, 0) + 1
+    return counts
+
+
+def project(projection: Projection, events: list[list[Event]], event: Event) -> Projection:
+    """Project on ``event``: keep the suffix after its first occurrence."""
+    projected: Projection = []
+    for seq_idx, offset in projection:
+        seq = events[seq_idx]
+        for pos in range(offset, len(seq)):
+            if seq[pos] == event:
+                projected.append((seq_idx, pos + 1))
+                break
+    return projected
 
 
 def mine_sequential(database: SequenceDatabase, min_sup: int, **kwargs) -> MiningResult:

@@ -465,37 +465,43 @@ def run_mine_stream(args) -> int:
         updates += 1
         print(f"# update {updates}: {update.summary()}", flush=True)
 
-    with open(args.path) as stream:
-        while True:
-            position = stream.tell()
-            line = stream.readline()
-            if args.follow and line and not line.endswith("\n"):
-                # A producer is mid-write: readline() returns whatever sits at
-                # EOF without waiting for the newline, and consuming it would
-                # split one in-flight sequence into two.  Rewind and poll again.
-                stream.seek(position)
-                line = ""
-            if line:
-                events = parse_stream_line(line, args.format)
-                if events is None:
-                    continue
-                miner.append(events)
-                pending += 1
-                if pending >= args.refresh_every:
-                    emit_update()
-            else:
-                if pending:
-                    emit_update()
-                if args.max_updates is not None and updates >= args.max_updates:
-                    break
-                if not args.follow:
-                    break
-                time.sleep(args.poll_interval)
-            if args.max_updates is not None and updates >= args.max_updates:
-                break
-    algorithm = f"StreamMiner({GSgrow.algorithm_name if args.all else CloGSgrow.algorithm_name})"
-    _print_result(miner.results(), args, algorithm, path=args.path)
-    miner.close()
+    try:
+        with open(args.path) as stream:
+            try:
+                while True:
+                    position = stream.tell()
+                    line = stream.readline()
+                    if args.follow and line and not line.endswith("\n"):
+                        # A producer is mid-write: readline() returns whatever
+                        # sits at EOF without waiting for the newline, and
+                        # consuming it would split one in-flight sequence into
+                        # two.  Rewind and poll again.
+                        stream.seek(position)
+                        line = ""
+                    if line:
+                        events = parse_stream_line(line, args.format)
+                        if events is None:
+                            continue
+                        miner.append(events)
+                        pending += 1
+                        if pending >= args.refresh_every:
+                            emit_update()
+                    else:
+                        if pending:
+                            emit_update()
+                        if args.max_updates is not None and updates >= args.max_updates:
+                            break
+                        if not args.follow:
+                            break
+                        time.sleep(args.poll_interval)
+                    if args.max_updates is not None and updates >= args.max_updates:
+                        break
+            except KeyboardInterrupt:
+                pass  # Ctrl-C ends a --follow tail; the final block still prints
+        name = GSgrow.algorithm_name if args.all else CloGSgrow.algorithm_name
+        _print_result(miner.results(), args, f"StreamMiner({name})", path=args.path)
+    finally:
+        miner.close()
     return 0
 
 

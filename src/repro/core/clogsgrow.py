@@ -10,18 +10,22 @@ CloGSgrow is GSgrow with two modifications at every frequent DFS node
   support set does not shift the landmark border to the right.
 
 Both checks are implemented in :mod:`repro.core.closure`; this module wires
-them into the DFS inherited from :class:`~repro.core.gsgrow.GSgrow`.  The
-checker's path store holds the per-node state — grown children, decision,
-probe sets — only while the node is on the live DFS path.  Without a gap
-constraint the checker filters its probes with the mine's 2-gram table,
-the one that also picks which children the DFS grows.
+them into the DFS inherited from :class:`~repro.core.gsgrow.GSgrow` through
+its one per-node hook, :meth:`CloGSgrow._judge`, which makes the node's
+single :meth:`~repro.core.closure.ClosureChecker.check` call.  The DFS
+grows the node's children before it asks, and the checker reads their
+supports instead of probing those appends again.  The checker's path store
+holds the per-node state — the parked children and probe sets — only while
+the node is on the live DFS path.  Without a gap constraint the checker
+filters its probes with the mine's 2-gram table, the one that also picks
+which children the DFS grows.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 
-from repro.core.closure import ClosureChecker, ClosureDecision
+from repro.core.closure import ClosureChecker
 from repro.core.engine import SupportSetLike
 from repro.core.gsgrow import GSgrow
 from repro.core.results import MinedPattern, MiningResult
@@ -66,7 +70,7 @@ class CloGSgrow(GSgrow):
         super().__init__(min_sup, **kwargs)
         self.enable_lbcheck = enable_lbcheck
         # One mine's checker.  Its path store also holds each live DFS
-        # node's grown children and decision (see `_decide`).
+        # node's grown children (see `_judge`).
         self._checker: ClosureChecker | None = None
 
     # ------------------------------------------------------------------
@@ -107,60 +111,20 @@ class CloGSgrow(GSgrow):
         try:
             yield from super()._mine_fre(index, support_set, events, prefix_sets)
         finally:
-            # The DFS has left this node: its grown children, its decision
-            # and the probe sets anchored at it are never read again.
+            # The DFS has left this node: its grown children and the probe
+            # sets anchored at it are never read again.
             checker.leave(len(prefix_sets))
 
-    def _grow_child(self, index, support_set: SupportSetLike, event: Event) -> SupportSetLike:
-        # `_decide` grew every child of this node, the deepest on the path.
-        assert self._checker is not None, "mine() must be called before the DFS hooks"
-        node = self._checker.path[-1]
-        return node.sets[node.key(len(support_set.pattern), event)]
-
-    def _accept(
+    def _judge(
         self,
         support_set: SupportSetLike,
-        index: InvertedEventIndex,
         prefix_sets: list[SupportSetLike],
         events: list[Event],
-    ) -> bool:
-        decision = self._decide(support_set, index, prefix_sets, events)
-        return decision.closed
-
-    def _should_stop_growing(
-        self,
-        support_set: SupportSetLike,
-        index: InvertedEventIndex,
-        prefix_sets: list[SupportSetLike],
-        events: list[Event],
-    ) -> bool:
-        decision = self._decide(support_set, index, prefix_sets, events)
-        if decision.prunable:
-            self.stats.nodes_pruned_lbcheck += 1
-        return decision.prunable
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _decide(
-        self,
-        support_set: SupportSetLike,
-        index: InvertedEventIndex,
-        prefix_sets: list[SupportSetLike],
-        events: list[Event],
-    ) -> ClosureDecision:
-        """Run the closure decision for the current DFS node, once.
-
-        ``_accept`` and ``_should_stop_growing`` are called back-to-back for
-        the same node, so the decision is kept on the node's path entry.
-        """
+        children: dict[Event, SupportSetLike] | None,
+    ) -> tuple[bool, bool]:
+        """CCheck and LBCheck for the current DFS node: its one closure check."""
         checker = self._checker
         assert checker is not None, "mine() must be called before the DFS hooks"
-        node = checker.enter(support_set)
-        if node.decision is not None:
-            return node.decision
-        depth = len(support_set.pattern)
-        self.stats.closure_checks += 1
         # Let P = Q ∘ x.  An append P ∘ e can witness non-closedness only if
         # sup(P ∘ e) = sup(P) >= min_sup (Theorem 4).  P ∘ e contains Q ∘ e,
         # whose support is no smaller (Theorem 1), so Q ∘ e is frequent and
@@ -168,37 +132,24 @@ class CloGSgrow(GSgrow):
         # breaks Theorem 1, and an `events` option leaves frequent events out
         # of the roots' list, so neither run passes the bound.
         bounded = self.config.constraint is None and self.config.events is None
-        append_bound = events if bounded else None
-        if self.config.max_length is not None and depth >= self.config.max_length:
-            # The DFS will not enter this subtree, so only closedness is
-            # needed (closedness is always evaluated against the *full*
-            # pattern universe — extensions longer than the cap included —
-            # which is what keeps LBCheck's Theorem-5 pruning sound under a
-            # cap).  Appends are left to the checker's lazy early-exit loop.
-            decision = checker.check(
-                support_set, prefix_sets, append_bound=append_bound, need_pruning=False
-            )
-        else:
-            # Grow each child the DFS will visit once: the DFS growth step
-            # (`_grow_child`) takes the sets and CCheck their supports.
-            append_supports: dict[Event, int] = {}
-            for event in self._growable(support_set.pattern, events):
-                self.stats.dfs_grow_calls += 1
-                self.stats.grow_rows += support_set.support
-                grown = self._engine.grow(
-                    index, support_set, event, constraint=self.config.constraint
-                )
-                node.sets[node.key(depth, event)] = grown
-                append_supports[event] = grown.support
-            decision = checker.check(
-                support_set,
-                prefix_sets,
-                append_supports=append_supports,
-                append_bound=append_bound,
-            )
-        self.stats.extension_evaluations += decision.extensions_evaluated
-        node.decision = decision
-        return decision
+        # At the length cap (`children is None`) the DFS will not enter this
+        # subtree, so only closedness is needed.  Closedness is always
+        # evaluated against the *full* pattern universe — extensions longer
+        # than the cap included — which keeps LBCheck's Theorem-5 pruning
+        # sound under a cap.
+        decision = checker.check(
+            support_set,
+            prefix_sets,
+            children=children,
+            append_bound=events if bounded else None,
+            need_pruning=children is not None,
+        )
+        stats = self.stats
+        stats.closure_checks += 1
+        stats.extension_evaluations += decision.extensions_evaluated
+        if decision.prunable:
+            stats.nodes_pruned_lbcheck += 1
+        return decision.closed, decision.prunable
 
 
 def mine_closed(

@@ -68,9 +68,10 @@ while it can still be read:
   ``e1..eg e' e(g+1)..ej`` (``j < m``), which are the same for every node
   below ``e1..ej``.  The checker keeps them on a *path store*, one
   :class:`PathNode` per prefix of the pattern last checked, and a probe
-  resumes from the deepest intermediate already there.  The DFS parks a
-  node's grown append children on the same node, and an append child
-  ``e1..eg e'`` is exactly a probe's first intermediate.
+  resumes from the deepest intermediate already there.  :meth:`check`
+  parks the append children the DFS grew (its ``children``) on the same
+  node, and an append child ``e1..eg e'`` is exactly a probe's first
+  intermediate.
 
 A leftmost support set depends only on its pattern (and the checker's index
 and constraint), so these pattern-keyed memos cannot change a decision; the
@@ -134,20 +135,18 @@ class PathNode:
     sets:
         :meth:`key` ``(gap, e')`` → leftmost support set of
         ``e1..e_gap e' e(gap+1)..ej``.  With ``gap == j`` that is the append
-        child ``e1..ej e'`` (grown by the DFS or by an append probe, only
-        for events inside the append bound when there is one); with
-        ``gap < j`` it is an intermediate of an insertion (``gap >= 1``) or
-        prepend (``gap == 0``) probe into a longer pattern below this node.
-    decision:
-        The node's :class:`ClosureDecision` once the miner has taken it.
+        child ``e1..ej e'`` (a child the DFS grew, parked by
+        :meth:`ClosureChecker.check`, or an append probe's, only for events
+        inside the append bound when there is one); with ``gap < j`` it is
+        an intermediate of an insertion (``gap >= 1``) or prepend
+        (``gap == 0``) probe into a longer pattern below this node.
     """
 
-    __slots__ = ("events", "sets", "decision")
+    __slots__ = ("events", "sets")
 
     def __init__(self, events: tuple[Event, ...]) -> None:
         self.events = events
         self.sets: dict[tuple[int, Event], SupportSetLike] = {}
-        self.decision: ClosureDecision | None = None
 
     def key(self, gap: int, event: Event) -> tuple[int, Event]:
         """The :attr:`sets` key of ``event`` inserted at ``gap``.
@@ -281,8 +280,8 @@ class ClosureChecker:
         self,
         support_set: SupportSetLike,
         prefix_sets: list[SupportSetLike],
-        append_supports: dict[Event, int] | None = None,
         *,
+        children: dict[Event, SupportSetLike] | None = None,
         append_bound: Collection[Event] | None = None,
         need_pruning: bool = True,
     ) -> ClosureDecision:
@@ -296,10 +295,12 @@ class ClosureChecker:
             Leftmost support sets of the prefixes ``e1``, ``e1 e2``, …, ``P``
             (the DFS ancestors including ``P`` itself), used to evaluate
             insertion extensions without recomputing from scratch.
-        append_supports:
-            Supports of the append extensions ``P ∘ e`` if the caller already
-            computed them (CloGSgrow computes them anyway while growing the
-            DFS); missing entries are computed on demand.
+        children:
+            Event ``e`` → leftmost support set of the append ``P ∘ e``, for
+            the appends the caller already grew (CloGSgrow's DFS grows them
+            as ``P``'s children).  They are parked on ``P``'s path node, for
+            the probes of the nodes below it, and read without filtering or
+            counting them; every other append is probed on demand.
         append_bound:
             Events ``e`` for which ``Q ∘ e`` may be frequent, where ``P = Q ∘
             em`` (for a size-1 ``P``, ``Q`` is empty).  The caller promises
@@ -329,8 +330,10 @@ class ClosureChecker:
 
         # --- Append extensions (case 1 of Definition 3.4) ------------------
         # They can reveal non-closedness but never allow border pruning.
-        append_supports = append_supports or {}
         m = len(pattern)
+        children = children or {}
+        for event, grown in children.items():
+            node.sets[node.key(m, event)] = grown
         following = self._following
         pair_filter = following is not None
         if pair_filter:
@@ -338,9 +341,8 @@ class ClosureChecker:
             from_last = following.get(pattern.at(m), {})
             per_sequence = _PerSequence(support_set)
         for event in in_bound:
-            if event in append_supports:
-                appended_support = append_supports[event]
-            else:
+            appended = children.get(event)
+            if appended is None:
                 if pair_filter:
                     counts = from_last.get(event)
                     if counts is None or counts.support < support:
@@ -352,8 +354,7 @@ class ClosureChecker:
                 appended = node.sets.get(key)
                 if appended is None:
                     appended = node.sets[key] = self._grow(engine, support_set, event)
-                appended_support = appended.support
-            if appended_support == support:
+            if appended.support == support:
                 decision.closed = False
                 if decision.witness is None:
                     decision.witness = pattern.grow(event)

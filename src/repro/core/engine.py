@@ -64,23 +64,14 @@ class SupportEngine:
         ``initial(index, event)`` — leftmost support set of a size-1 pattern.
     grow:
         ``grow(index, support_set, event, constraint=None)`` — Algorithm 2.
-    stores_landmarks:
-        True when the sets carry full landmarks (needed to report instances).
     """
 
-    __slots__ = ("name", "initial", "grow", "stores_landmarks")
+    __slots__ = ("name", "initial", "grow")
 
-    def __init__(
-        self,
-        name: str,
-        initial: InitialFn,
-        grow: GrowFn,
-        stores_landmarks: bool,
-    ) -> None:
+    def __init__(self, name: str, initial: InitialFn, grow: GrowFn) -> None:
         self.name = name
         self.initial = initial
         self.grow = grow
-        self.stores_landmarks = stores_landmarks
 
     def __repr__(self) -> str:
         return f"SupportEngine({self.name!r})"
@@ -103,20 +94,14 @@ class SupportEngine:
         def grow_spilling(*args: Any, **kwargs: Any) -> SupportSetLike:
             return maybe_spill(grow(*args, **kwargs))
 
-        return SupportEngine(
-            f"{self.name}+spill", initial_spilling, grow_spilling, self.stores_landmarks
-        )
+        return SupportEngine(f"{self.name}+spill", initial_spilling, grow_spilling)
 
 
 #: Engine over full-landmark :class:`SupportSet` rows.
-FULL_LANDMARK_ENGINE = SupportEngine(
-    "full-landmark", initial_support_set, ins_grow, stores_landmarks=True
-)
+FULL_LANDMARK_ENGINE = SupportEngine("full-landmark", initial_support_set, ins_grow)
 
 #: Engine over compressed ``(i, l1, lm)`` triples.
-COMPRESSED_ENGINE = SupportEngine(
-    "compressed", initial_compressed_support_set, ins_grow_compressed, stores_landmarks=False
-)
+COMPRESSED_ENGINE = SupportEngine("compressed", initial_compressed_support_set, ins_grow_compressed)
 
 
 def engine_for(store_instances: bool) -> SupportEngine:

@@ -5,7 +5,13 @@ PrefixSpan with the instance-growth operation of Algorithm 2: every DFS node
 carries the leftmost support set of its pattern, so the support of every
 child ``P ∘ e`` is obtained with a single ``INSgrow`` call, and the Apriori
 property (Theorem 1) prunes the traversal as soon as the support drops below
-``min_sup``.  Without a gap constraint it also prunes before growing:
+``min_sup``.  A frequent node grows its children once (below the length
+cap) and then asks one hook, :meth:`GSgrow._judge`, whether to report the
+node and whether to prune its subtree.  GSgrow reports every frequent node;
+CloGSgrow makes its one closure check there (Algorithm 4, lines 6–7),
+handing the grown children to the checker.
+
+Without a gap constraint the DFS also prunes before growing:
 
 * a grandchild ``P ∘ e ∘ f`` contains ``P ∘ f``, so it is only grown when
   ``P ∘ f`` is frequent (the sibling bound);
@@ -30,7 +36,7 @@ import os
 import shutil
 import tempfile
 from dataclasses import dataclass, field
-from collections.abc import Callable, Iterable, Iterator, Sequence as PySequence
+from collections.abc import Callable, Iterable, Iterator
 
 from repro.core.constraints import GapConstraint
 from repro.core.engine import SupportEngine, SupportSetLike, engine_for
@@ -308,32 +314,37 @@ class GSgrow:
         events: list[Event],
         prefix_sets: list[SupportSetLike],
     ) -> Iterator[MinedPattern]:
-        """Recursive DFS over the pattern space (lines 6–10 of Algorithm 3)."""
-        self.stats.nodes_visited += 1
-        if support_set.support < self.config.min_sup:
-            self.stats.nodes_pruned_infrequent += 1
+        """Recursive DFS over the pattern space (lines 6–10 of Algorithm 3).
+
+        A frequent node's children are grown once, below the length cap,
+        before :meth:`_judge` decides whether to report the node and whether
+        to prune its subtree.
+        """
+        stats = self.stats
+        stats.nodes_visited += 1
+        min_sup = self.config.min_sup
+        if support_set.support < min_sup:
+            stats.nodes_pruned_infrequent += 1
             return
-        if self._accept(support_set, index, prefix_sets, events):
+        max_length = self.config.max_length
+        children: dict[Event, SupportSetLike] | None = None
+        if max_length is None or len(support_set.pattern) < max_length:
+            children = {
+                event: self._grow_child(index, support_set, event)
+                for event in self._growable(support_set.pattern, events)
+            }
+        report, prune = self._judge(support_set, prefix_sets, events, children)
+        if report:
             yield self._as_mined(support_set)
-        if self._should_stop_growing(support_set, index, prefix_sets, events):
+        if prune or children is None:
             return
-        if self.config.max_length is not None and len(support_set.pattern) >= self.config.max_length:
-            return
+        # Rebound so the infrequent children are released before the descent.
+        children = {event: grown for event, grown in children.items() if grown.support >= min_sup}
         # Children over events `_child_events` or `_growable` left out are
         # infrequent too.
-        growable = self._growable(support_set.pattern, events)
-        self.stats.nodes_pruned_infrequent += self._event_count - len(growable)
-        frequent: list[Event] = []
-        children: list[SupportSetLike] = []
-        for event in growable:
-            grown = self._grow_child(index, support_set, event)
-            if grown.support < self.config.min_sup:
-                self.stats.nodes_pruned_infrequent += 1
-                continue
-            frequent.append(event)
-            children.append(grown)
-        child_events = self._child_events(events, frequent)
-        for grown in children:
+        stats.nodes_pruned_infrequent += self._event_count - len(children)
+        child_events = self._child_events(events, list(children))
+        for grown in children.values():
             yield from self._mine_fre(index, grown, child_events, prefix_sets + [grown])
 
     # ------------------------------------------------------------------
@@ -367,8 +378,7 @@ class GSgrow:
         ``P ∘ f`` contains the 2-gram ``x f`` of ``P = … x``, so it can only
         be frequent when ``sup(x f) >= min_sup`` (Theorem 1); the sibling
         list ``events`` already bounds every other 2-gram ending in ``f``.
-        Without a table (a gap constraint) every event is grown.  CloGSgrow
-        grows its children through the same list.
+        Without a table (a gap constraint) every event is grown.
         """
         pairs = self._pairs
         if pairs is None:
@@ -384,30 +394,26 @@ class GSgrow:
     def _grow_child(
         self, index: InvertedEventIndex, support_set: SupportSetLike, event: Event
     ) -> SupportSetLike:
-        """Compute the support set of ``P ∘ e`` (CloGSgrow reuses cached ones)."""
+        """The support set of the child ``P ∘ e``: every DFS grow is counted here."""
         self.stats.dfs_grow_calls += 1
         self.stats.grow_rows += support_set.support
         return self._engine.grow(index, support_set, event, constraint=self.config.constraint)
 
-    def _accept(
+    def _judge(
         self,
         support_set: SupportSetLike,
-        index: InvertedEventIndex,
         prefix_sets: list[SupportSetLike],
         events: list[Event],
-    ) -> bool:
-        """Whether to report the (frequent) pattern of ``support_set``."""
-        return True
+        children: dict[Event, SupportSetLike] | None,
+    ) -> tuple[bool, bool]:
+        """Whether to report a frequent node, and whether to prune its subtree.
 
-    def _should_stop_growing(
-        self,
-        support_set: SupportSetLike,
-        index: InvertedEventIndex,
-        prefix_sets: list[SupportSetLike],
-        events: list[Event],
-    ) -> bool:
-        """Whether the DFS subtree below this pattern can be pruned."""
-        return False
+        ``events`` are the node's frequent siblings and ``children`` maps each
+        event the DFS grew a child with to that child's set (``None`` at the
+        length cap, where it grows none).  GSgrow reports every frequent
+        pattern and prunes nothing.
+        """
+        return True, False
 
     # ------------------------------------------------------------------
     # Helpers

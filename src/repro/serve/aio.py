@@ -106,6 +106,8 @@ class PatternServer(ServeCore):
         slow_sink: Callable[[str], None] | None = None,
         cache_size: int = 1024,
     ) -> None:
+        if batch_window_ms < 0:
+            raise ValueError(f"batch_window_ms must be >= 0, got {batch_window_ms}")
         super().__init__(
             store_path,
             stores=stores,
@@ -118,35 +120,26 @@ class PatternServer(ServeCore):
             slow_sink=slow_sink,
             cache_size=cache_size,
         )
-        if batch_window_ms < 0:
-            raise ValueError(f"batch_window_ms must be >= 0, got {batch_window_ms}")
         self._batch_window = batch_window_ms / 1000.0
         self._max_workers = max_workers
         # Sockets are bound eagerly so `address` answers before the loop
         # exists and bind errors surface at construction, where the caller
-        # can still handle them.
-        self._tcp_socket = socket.create_server((host, port))
+        # can still handle them.  A failed bind releases what the core
+        # opened (the span journal).
         self._uds_path: Path | None = None
         self._uds_socket: socket.socket | None = None
-        if uds is not None:
-            path = Path(uds)
-            if path.exists():
-                # A stale socket file from a dead daemon would make bind()
-                # fail; anything else at the path is somebody's data.
-                if not path.is_socket():
+        try:
+            self._tcp_socket = socket.create_server((host, port))
+            if uds is not None:
+                try:
+                    self._uds_socket = _bind_uds(Path(uds))
+                except BaseException:
                     self._tcp_socket.close()
-                    raise OSError(f"refusing to replace non-socket path {path}")
-                path.unlink()
-            uds_socket = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            try:
-                uds_socket.bind(str(path))
-                uds_socket.listen()
-            except OSError:
-                uds_socket.close()
-                self._tcp_socket.close()
-                raise
-            self._uds_path = path
-            self._uds_socket = uds_socket
+                    raise
+                self._uds_path = Path(uds)
+        except BaseException:
+            self._close_core()
+            raise
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop_event: asyncio.Event | None = None
         self._executor: ThreadPoolExecutor | None = None
@@ -405,6 +398,24 @@ class PatternServer(ServeCore):
                     waiter.set_result(result)
 
         batch_future.add_done_callback(deliver)
+
+
+def _bind_uds(path: Path) -> socket.socket:
+    """A listening unix-domain socket bound at ``path``."""
+    if path.exists():
+        # A stale socket file from a dead daemon would make bind() fail;
+        # anything else at the path is somebody's data.
+        if not path.is_socket():
+            raise OSError(f"refusing to replace non-socket path {path}")
+        path.unlink()
+    uds_socket = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    try:
+        uds_socket.bind(str(path))
+        uds_socket.listen()
+    except BaseException:
+        uds_socket.close()
+        raise
+    return uds_socket
 
 
 def serve(

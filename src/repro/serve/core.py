@@ -344,9 +344,7 @@ class ServeCore:
         }
         self._trace_lock = threading.Lock()
         self._trace_cursor = 0
-        self._trace_writer = (
-            SpanJournalWriter(trace_out) if trace_out is not None else None
-        )
+        self._trace_writer: SpanJournalWriter | None = None
         self._slow_ms = slow_ms
         self._slow_sink: Callable[[str], None] = (
             slow_sink
@@ -380,6 +378,10 @@ class ServeCore:
             name: self.obs.counter(f"serve.ns.{_ns_slug(name)}.requests")  # reprolint: disable=RL008 -- enumerated from the closed, construction-time namespace set; slugs are conformant segments
             for name in self._namespaces
         }
+        # Opened last, once every store has loaded: nothing above can fail
+        # with the journal open.
+        if trace_out is not None:
+            self._trace_writer = SpanJournalWriter(trace_out)
 
     # ------------------------------------------------------------------
     # Store lifecycle

@@ -742,10 +742,6 @@ class StreamMiner:
             return max(1, -(-self.min_sup // k_cap))
         return self._required_threshold()
 
-    def _shard_mining_cap(self) -> int | None:
-        """Length cap of the shard mines: the miner's own (see `_closed_filter`)."""
-        return self.max_length
-
     # reprolint: holds-lock
     def _remine_stale(self) -> None:
         """Re-mine the shards whose tables are stale (caller holds self._lock).
@@ -781,7 +777,7 @@ class StreamMiner:
                 closed=False,
                 n_jobs=self.n_jobs,
                 obs=self.obs,
-                max_length=self._shard_mining_cap(),
+                max_length=self.max_length,
                 spill_budget=self.spill_budget,
                 spill_dir=self.db_dir,
             )

@@ -7,6 +7,7 @@ from repro.core.gsgrow import mine_all
 from repro.core.pattern import Pattern
 from repro.core.reference import closed_patterns_bruteforce
 from repro.core.support import repetitive_support
+from repro.datagen.ibm import QuestParameters, QuestSequenceGenerator
 from repro.db.database import SequenceDatabase
 
 
@@ -146,18 +147,17 @@ class _PathAuditingMiner(CloGSgrow):
         finally:
             self.live.pop()
 
-    def _accept(self, support_set, index, prefix_sets, events):
-        accepted = super()._accept(support_set, index, prefix_sets, events)
-        self._audit()
-        return accepted
+    def _judge(self, support_set, prefix_sets, events, children):
+        # The DFS grew this node's children on its parent's path; the
+        # node's one check enters the node.
+        self._audit(self.live[:-1])
+        judged = super()._judge(support_set, prefix_sets, events, children)
+        self._audit(self.live)
+        return judged
 
-    def _grow_child(self, index, support_set, event):
-        self._audit()
-        return super()._grow_child(index, support_set, event)
-
-    def _audit(self):
+    def _audit(self, expected):
         self.audits += 1
-        assert [node.events for node in self.checker.path] == self.live
+        assert [node.events for node in self.checker.path] == expected
 
 
 class _ChildRecordingMiner(CloGSgrow):
@@ -209,3 +209,44 @@ class TestPathScopedState:
         assert miner.stats.dfs_grow_calls == grown
         # Growing every event at every node would take more.
         assert miner.stats.dfs_grow_calls < len(visited) * len(miner.roots)
+
+
+class _SeamCountingMiner(CloGSgrow):
+    """CloGSgrow counting its per-node hooks and its frequent nodes below the cap."""
+
+    def _prepare(self, index):
+        super()._prepare(index)
+        self.judged = self.growable = self.below_cap = 0
+
+    def _mine_fre(self, index, support_set, events, prefix_sets):
+        if (
+            support_set.support >= self.config.min_sup
+            and len(support_set.pattern) < self.config.max_length
+        ):
+            self.below_cap += 1
+        yield from super()._mine_fre(index, support_set, events, prefix_sets)
+
+    def _growable(self, pattern, events):
+        self.growable += 1
+        return super()._growable(pattern, events)
+
+    def _judge(self, support_set, prefix_sets, events, children):
+        self.judged += 1
+        return super()._judge(support_set, prefix_sets, events, children)
+
+
+def test_one_judgement_and_one_growth_per_node():
+    """The repository benchmark's closed mine, seen through the DFS hooks.
+
+    Quest D5 C20 N10 S20 at scale 0.02, ``CloGSgrow(12, max_length=4)``:
+    every frequent node is judged once (one closure check), and every
+    frequent node below the cap picks its children once.  Picking them
+    again after the check made 692 ``_growable`` calls for these 471 nodes.
+    """
+    params = QuestParameters(D=5, C=20, N=10, S=20)
+    database = QuestSequenceGenerator(params, scale=0.02, seed=2).generate()
+    miner = _SeamCountingMiner(12, max_length=4)
+    result = miner.mine(database)
+    assert len(result) == 355
+    assert miner.judged == miner.stats.closure_checks == 711
+    assert miner.growable == miner.below_cap == 471

@@ -1,5 +1,7 @@
 """Tests for closure checking and landmark border checking (Theorems 4-5)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.closure import ClosureChecker
@@ -92,14 +94,21 @@ class TestCheckerOptions:
         checker = ClosureChecker(table3_index)
         pattern = Pattern("AB")
         prefix_sets = build_prefix_sets(table3_index, pattern)
-        # Pass precomputed append supports: the checker should not recompute
+        # Pass the grown append children: the checker should not recompute
         # them (extensions_evaluated counts only what it computed itself).
-        appended = {
-            e: ins_grow(table3_index, prefix_sets[-1], e).support for e in "ABCD"
-        }
-        decision = checker.check(prefix_sets[-1], prefix_sets, append_supports=appended)
+        children = {e: ins_grow(table3_index, prefix_sets[-1], e) for e in "ABCD"}
+        decision = checker.check(prefix_sets[-1], prefix_sets, children=children)
         assert not decision.closed
         assert decision.extensions_evaluated <= 8
+        plain = ClosureChecker(table3_index).check(prefix_sets[-1], prefix_sets)
+        assert replace(decision, extensions_evaluated=0) == replace(
+            plain, extensions_evaluated=0
+        )
+        assert decision.extensions_evaluated <= plain.extensions_evaluated
+        # The children are parked on the node, for the probes below it.
+        node = checker.path[-1]
+        for e, child in children.items():
+            assert node.sets[node.key(2, e)] is child
 
     def test_candidate_events_filtered_by_support(self, table3_index):
         checker = ClosureChecker(table3_index)

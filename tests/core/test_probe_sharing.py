@@ -4,16 +4,20 @@ The closure checker memoizes size-1 sets and the intermediates of its
 insert/prepend probes on the live DFS path.  The oracle is a fresh
 :class:`~repro.core.closure.ClosureChecker` with empty memos: every
 decision the miner takes must equal, field for field, the one the fresh
-checker returns for the same node, prefix sets and append supports.
+checker returns for the same node, prefix sets and grown children.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
 from repro.core.clogsgrow import CloGSgrow
 from repro.core.closure import ClosureChecker
 from repro.core.constraints import GapConstraint
+from repro.core.engine import COMPRESSED_ENGINE, FULL_LANDMARK_ENGINE
+from repro.core.gsgrow import GSgrow
 from repro.datagen.markov import MarkovSequenceGenerator
 from repro.db.index import InvertedEventIndex
 
@@ -45,9 +49,9 @@ def test_every_decision_matches_a_fresh_checker(
     taken = []
     check = ClosureChecker.check
 
-    def recording(self, support_set, prefix_sets, append_supports=None, **kwargs):
-        decision = check(self, support_set, prefix_sets, append_supports, **kwargs)
-        taken.append((self.engine, support_set, prefix_sets, append_supports, kwargs, decision))
+    def recording(self, support_set, prefix_sets, **kwargs):
+        decision = check(self, support_set, prefix_sets, **kwargs)
+        taken.append((self.engine, support_set, prefix_sets, kwargs, decision))
         return decision
 
     monkeypatch.setattr(ClosureChecker, "check", recording)
@@ -60,29 +64,43 @@ def test_every_decision_matches_a_fresh_checker(
         store_instances=store_instances,
     ).mine(index)
     assert taken
-    for engine, support_set, prefix_sets, append_supports, kwargs, decision in taken:
+    for engine, support_set, prefix_sets, kwargs, decision in taken:
         fresh = ClosureChecker(
             index, enable_lbcheck=enable_lbcheck, constraint=constraint, engine=engine
         )
-        expected = check(fresh, support_set, prefix_sets, append_supports, **kwargs)
+        # `kwargs` hold the `children` the mine's checker was handed.
+        expected = check(fresh, support_set, prefix_sets, **kwargs)
         assert decision == expected, support_set.pattern
 
 
-def test_standalone_checks_in_any_order_match_fresh_checkers(table3_index):
-    """One checker reused across unrelated patterns, shallow after deep."""
-    from repro.core.compressed import initial_compressed_support_set, ins_grow_compressed
+def test_standalone_checks_in_any_order_match_fresh_checkers():
+    """One checker reused across 600 checks in a seeded random order.
 
-    def prefix_sets(pattern):
-        sets = [initial_compressed_support_set(table3_index, pattern[0])]
-        for event in pattern[1:]:
-            sets.append(ins_grow_compressed(table3_index, sets[-1], event))
-        return sets
-
-    shared = ClosureChecker(table3_index)
-    for pattern in ("ACB", "AC", "DB", "ACBD", "A", "CAD", "ACB", "ACAD"):
-        sets = prefix_sets(pattern)
-        fresh = ClosureChecker(table3_index)
-        assert shared.check(sets[-1], sets) == fresh.check(sets[-1], sets), pattern
+    Patterns recur, and shallow ones follow deep ones, so the reused
+    checker's path store holds earlier probes' sets.  Some checks are
+    handed grown append children, some skip the border scan, and the
+    engine changes now and then; a fresh checker gets the same arguments,
+    and the whole decision, evaluated extensions included, must match.
+    """
+    index = _markov_index(7)
+    patterns = [mined.pattern for mined in GSgrow(2, max_length=4).mine(index)]
+    alphabet = sorted(index.alphabet(), key=repr)
+    rng = random.Random(11)
+    shared = ClosureChecker(index)
+    for _ in range(600):
+        pattern = rng.choice(patterns)
+        engine = COMPRESSED_ENGINE if rng.random() < 0.9 else FULL_LANDMARK_ENGINE
+        sets = [engine.initial(index, pattern.at(1))]
+        for j in range(2, len(pattern) + 1):
+            sets.append(engine.grow(index, sets[-1], pattern.at(j)))
+        kwargs = {"need_pruning": rng.random() < 0.75}
+        if rng.random() < 0.5:
+            grown = rng.sample(alphabet, rng.randint(0, len(alphabet)))
+            kwargs["children"] = {e: engine.grow(index, sets[-1], e) for e in grown}
+        fresh = ClosureChecker(index)
+        assert shared.check(sets[-1], sets, **kwargs) == fresh.check(
+            sets[-1], sets, **kwargs
+        ), pattern
         assert [node.events for node in shared.path] == [
-            tuple(pattern[: j + 1]) for j in range(len(pattern))
+            pattern.events[: j + 1] for j in range(len(pattern))
         ]

@@ -21,7 +21,9 @@ from repro.core.clogsgrow import mine_closed
 from repro.db.database import SequenceDatabase
 from repro.match.service import PatternMatcher
 from repro.match.store import PatternStore, save_patterns
+from repro.obs import MetricsRegistry, SpanJournalWriter, TraceRecorder
 from repro.serve import PatternServer, ServeClient, ServeError, serve
+from repro.serve import core as serve_core
 from repro.stream.miner import StreamMiner
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -102,6 +104,60 @@ class TestOperations:
         response, stop = server.handle_raw(b'{"op":"ping","id":42}')
         assert not stop
         assert json.loads(response)["id"] == 42
+
+
+class _RecordingJournal(SpanJournalWriter):
+    """A span journal that remembers every instance and whether it was closed."""
+
+    opened: list[SpanJournalWriter] = []
+
+    def __init__(self, path):
+        super().__init__(path)
+        self.closed = False
+        self.opened.append(self)
+
+    def close(self):
+        self.closed = True
+        super().close()
+
+
+class TestConstruction:
+    def test_negative_batch_window_is_checked_before_loading(self, tmp_path):
+        with pytest.raises(ValueError, match="batch_window_ms"):
+            PatternServer(tmp_path / "missing.rps", batch_window_ms=-1)
+
+    @pytest.mark.parametrize(
+        "failure", ["negative_window", "missing_store", "port_in_use", "uds_not_a_socket"]
+    )
+    def test_a_failed_construction_closes_the_span_journal(
+        self, store_file, tmp_path, monkeypatch, failure
+    ):
+        monkeypatch.setattr(serve_core, "SpanJournalWriter", _RecordingJournal)
+        monkeypatch.setattr(_RecordingJournal, "opened", [])
+        options = {}
+        occupied = None
+        if failure == "negative_window":
+            options["batch_window_ms"] = -1
+        elif failure == "missing_store":
+            options["stores"] = {"extra": tmp_path / "missing.rps"}
+        elif failure == "port_in_use":
+            occupied = socket.create_server(("127.0.0.1", 0))
+            options["port"] = occupied.getsockname()[1]
+        else:
+            options["uds"] = tmp_path / "not-a-socket"
+            options["uds"].write_text("somebody's data")
+        try:
+            with pytest.raises((ValueError, OSError)):
+                PatternServer(
+                    store_file,
+                    obs=MetricsRegistry(recorder=TraceRecorder()),
+                    trace_out=tmp_path / "spans.jsonl",
+                    **options,
+                )
+        finally:
+            if occupied is not None:
+                occupied.close()
+        assert all(journal.closed for journal in _RecordingJournal.opened)
 
 
 class TestErrors:

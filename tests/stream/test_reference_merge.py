@@ -36,10 +36,15 @@ from repro.stream import StreamMiner
 class ReferenceMiner(StreamMiner):
     """A :class:`StreamMiner` that merges from scratch and filters one level deeper."""
 
-    def _shard_mining_cap(self):
-        if self.max_length is None:
-            return None
-        return self.max_length + 1 if self.closed else self.max_length
+    def _remine_stale(self):
+        # Mine the shards one event deeper than a closed miner's cap.
+        cap = self.max_length
+        if cap is not None and self.closed:
+            self.max_length = cap + 1
+        try:
+            super()._remine_stale()
+        finally:
+            self.max_length = cap
 
     def _closed_filter(self, frequent, per_shard):
         by_len_sup = {}

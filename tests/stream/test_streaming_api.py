@@ -102,6 +102,31 @@ class TestMineStreamCli:
         out = capsys.readouterr().out
         assert "# update 1:" in out and "# update 2:" not in out
 
+    @pytest.mark.parametrize("backend", ["ram", "disk"])
+    def test_follow_mode_ends_cleanly_on_ctrl_c(self, tmp_path, capsys, monkeypatch, backend):
+        lines = ["a b c a b c a", "a a b b c c c", "a b c a b", "b c a b c", "a b c"]
+        path = self._write_stream(tmp_path, lines)
+
+        def interrupt(seconds):
+            raise KeyboardInterrupt
+
+        db_dir = tmp_path / "db"
+        options = ["--db-backend", "disk", "--db-dir", str(db_dir)] if backend == "disk" else []
+        monkeypatch.setattr("repro.cli.time.sleep", interrupt)
+        code = cli_main(
+            ["mine-stream", path, "--min-sup", "4", "--refresh-every", "2", "--follow", *options]
+        )
+        assert code == 0
+        stream_out = capsys.readouterr().out
+        assert "# update 3:" in stream_out and "# update 4:" not in stream_out
+        assert cli_main(["mine", path, "--min-sup", "4"]) == 0
+        batch_out = capsys.readouterr().out
+        stream_patterns = [l for l in stream_out.splitlines() if l and not l.startswith("#")]
+        batch_patterns = [l for l in batch_out.splitlines() if l and not l.startswith("#")]
+        assert stream_patterns and stream_patterns == batch_patterns
+        if backend == "disk":
+            assert list(db_dir.iterdir()) == []
+
     def test_follow_mode_ignores_partially_written_lines(self, tmp_path, capsys):
         path = tmp_path / "stream.txt"
         path.write_text("a b a b\nb a b a\na b ")  # last line still in flight
